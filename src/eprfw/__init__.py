@@ -3,13 +3,13 @@
 Library layers, bottom up:
 
 * :mod:`eprfw.geometry` - conical metric, rest-frame tetrad, Christoffel
-  symbols, spin/Fermi-Walker/total connection 1-forms, curvature and
-  holonomy oracles;
+  symbols, spin/Fermi-Walker/total connection 1-forms (at one azimuth or
+  over an array of them), curvature and holonomy oracles;
 * :mod:`eprfw.kinematics` - circular worldlines: four-velocity, proper
   acceleration, proper time, frame momenta;
 * :mod:`eprfw.transport` - Lorentz generators (spin-half and Dirac), the
-  closed-form transport operator, the path-ordered numeric integrator, and
-  the Wigner precession angle;
+  closed-form transport operator, the path-ordered product engine shared by
+  spin and frame-vector transport, and the Wigner precession angle;
 * :mod:`eprfw.epr` - Bell basis, pair evolution, CHSH violation,
   degradation, and restoration by rotated measurement axes;
 * :mod:`eprfw.verify` - the self-verification battery behind

@@ -13,6 +13,15 @@ with deficit factor 0 < alpha <= 1 (alpha = 1 is flat space in cylindrical
 coordinates).  The axis rho = 0 carries all of the curvature and is excluded
 from the domain; everywhere else the space is flat, which the finite-difference
 Riemann tensor and the holonomy deficit check verify independently.
+
+The pointwise fields (:func:`metric_at`, :func:`tetrad_at`,
+:func:`christoffel_at`, :func:`spin_connection_at`, :func:`fw_connection_at`,
+:func:`total_connection_at`) broadcast over the shape of
+``geom.alpha_at(pt.phi)``: a point whose ``phi`` is an array of azimuths gets
+one leading axis of results, ``X[..., mu, a, b]``, when the geometry varies
+along phi, and the single phi-independent result otherwise.  A scalar ``phi``
+gives exactly the shapes listed above.  The finite-difference oracles take
+scalar points only.
 """
 
 from __future__ import annotations
@@ -21,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "T", "RHO", "Z", "PHI",
@@ -49,6 +57,10 @@ T, RHO, Z, PHI = 0, 1, 2, 3
 
 MINKOWSKI = np.diag([-1.0, 1.0, 1.0, 1.0])
 
+# Frame planes the spin connection along phi can rotate: it mixes frame legs
+# 1 and 3 and leaves legs 0 and 2 alone, for every geometry of this module.
+_FRAME_PLANES = ((0, 2), (1, 3))
+
 
 class OnAxisError(ValueError):
     """Point lies on the string axis (rho <= 0), where the geometry is singular."""
@@ -67,8 +79,11 @@ class StringGeometry:
         if self.c <= 0.0:
             raise ValueError(f"c must be positive, got {self.c}")
 
-    def alpha_at(self, phi: float) -> float:
-        """Local deficit factor; constant for the physical string geometry."""
+    def alpha_at(self, phi):
+        """Local deficit factor; constant for the physical string geometry.
+
+        Subclasses that vary it return an array shaped like an array ``phi``.
+        """
         return self.alpha
 
 
@@ -91,13 +106,17 @@ class PhiModulatedGeometry(StringGeometry):
         if abs(self.epsilon) >= 1.0 or self.alpha * (1.0 + abs(self.epsilon)) > 1.0:
             raise ValueError("modulation must keep alpha(phi) inside (0, 1]")
 
-    def alpha_at(self, phi: float) -> float:
-        return self.alpha * (1.0 + self.epsilon * math.sin(self.k * phi))
+    def alpha_at(self, phi):
+        return self.alpha * (1.0 + self.epsilon * np.sin(self.k * phi))
 
 
 @dataclass(frozen=True)
 class SpacetimePoint:
-    """Event in string coordinates (t, rho, z, phi); phi is stored unwrapped."""
+    """Event in string coordinates (t, rho, z, phi); phi is stored unwrapped.
+
+    ``phi`` may be an array of azimuths on the circle of radius ``rho``; see
+    the module docstring for how the fields broadcast over it.
+    """
 
     t: float = 0.0
     rho: float = 1.0
@@ -123,10 +142,22 @@ class Tetrad:
     einv: np.ndarray
 
 
+def _alpha(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:
+    """Deficit factor at ``pt`` as an array: 0-d, or one entry per azimuth."""
+    return np.asarray(geom.alpha_at(pt.phi), dtype=float)
+
+
+def _diag(d0, d1, d2, d3) -> np.ndarray:
+    """Matrices diag(d0, d1, d2, d3), stacked over the shape of ``d3``, the entry that varies."""
+    d3 = np.asarray(d3)
+    out = np.zeros(d3.shape + (4, 4))
+    out[..., 0, 0], out[..., 1, 1], out[..., 2, 2], out[..., 3, 3] = d0, d1, d2, d3
+    return out
+
+
 def metric_at(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:
     """Metric g_{mu nu} at ``pt``: diag(-c^2, 1, 1, alpha^2 rho^2)."""
-    a = geom.alpha_at(pt.phi)
-    return np.diag([-geom.c**2, 1.0, 1.0, (a * pt.rho) ** 2])
+    return _diag(-geom.c**2, 1.0, 1.0, (_alpha(geom, pt) * pt.rho) ** 2)
 
 
 def tetrad_at(geom: StringGeometry, pt: SpacetimePoint) -> Tetrad:
@@ -136,17 +167,16 @@ def tetrad_at(geom: StringGeometry, pt: SpacetimePoint) -> Tetrad:
     carries the factor c so that e^a_mu e^b_nu eta_ab = g_{mu nu} holds for
     any unit choice (it reduces to 1 for the default c = 1).
     """
-    a = geom.alpha_at(pt.phi)
-    diag = np.array([geom.c, 1.0, 1.0, a * pt.rho])
-    return Tetrad(e=np.diag(diag), einv=np.diag(1.0 / diag))
+    leg = _alpha(geom, pt) * pt.rho
+    return Tetrad(e=_diag(geom.c, 1.0, 1.0, leg), einv=_diag(1.0 / geom.c, 1.0, 1.0, 1.0 / leg))
 
 
 def christoffel_at(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:
     """Levi-Civita connection; only Gamma^rho_{phi phi} and Gamma^phi_{rho phi} survive."""
-    a = geom.alpha_at(pt.phi)
-    gamma = np.zeros((4, 4, 4))
-    gamma[RHO, PHI, PHI] = -(a**2) * pt.rho
-    gamma[PHI, RHO, PHI] = gamma[PHI, PHI, RHO] = 1.0 / pt.rho
+    a = _alpha(geom, pt)
+    gamma = np.zeros(a.shape + (4, 4, 4))
+    gamma[..., RHO, PHI, PHI] = -(a**2) * pt.rho
+    gamma[..., PHI, RHO, PHI] = gamma[..., PHI, PHI, RHO] = 1.0 / pt.rho
     return gamma
 
 
@@ -170,13 +200,12 @@ def christoffel_fd(geom: StringGeometry, pt: SpacetimePoint, h: float = 1e-5) ->
     )
 
 
-def _frame_covariant_derivative(geom, pt, gamma):
+def _frame_covariant_derivative(geom, pt, gamma, einv):
     """cov[mu, nu, b] = d_mu e^nu_b + Gamma^nu_{mu sig} e^sig_b for this tetrad family."""
-    a = geom.alpha_at(pt.phi)
-    deinv = np.zeros((4, 4, 4))  # deinv[mu, nu, b] = d_mu e^nu_b
-    deinv[RHO, PHI, 3] = -1.0 / (a * pt.rho**2)
-    einv = tetrad_at(geom, pt).einv
-    return deinv + np.einsum("nms,sb->mnb", gamma, einv)
+    # (Gamma^nu_{mu sig})[mu, nu, sig] @ einv[sig, b], per azimuth
+    cov = np.swapaxes(gamma, -3, -2) @ einv[..., None, :, :]
+    cov[..., RHO, PHI, 3] -= 1.0 / (_alpha(geom, pt) * pt.rho**2)  # the only nonzero d_mu e^nu_b
+    return cov
 
 
 def spin_connection_at(
@@ -196,8 +225,9 @@ def spin_connection_at(
     """
     if gamma is None:
         gamma = christoffel_at(geom, pt)
-    cov = _frame_covariant_derivative(geom, pt, gamma)
-    return np.einsum("an,mnb->mab", tetrad_at(geom, pt).e, cov)
+    tet = tetrad_at(geom, pt)
+    cov = _frame_covariant_derivative(geom, pt, gamma, tet.einv)
+    return tet.e[..., None, :, :] @ cov  # e^a_nu cov[mu, nu, b], per mu
 
 
 def spin_connection_fd(geom: StringGeometry, pt: SpacetimePoint, h: float = 1e-5) -> np.ndarray:
@@ -218,15 +248,20 @@ def fw_connection_at(
     lower = MINKOWSKI @ tet.e  # lower[b, mu] = e_{b mu}
     ae = tet.e @ accel     # ae[a] = e^a_nu a^nu
     al = lower @ accel     # al[b] = e_{b nu} a^nu
-    tau = np.einsum("a,bm->mab", ae, lower) - np.einsum("am,b->mab", tet.e, al)
-    return tau / geom.c**2
+    # tau[mu, a, b] = ae[a] lower[b, mu] - e[a, mu] al[b], as broadcast products
+    tau = ae[..., None, :, None] * np.swapaxes(lower, -1, -2)[..., :, None, :]
+    tau -= np.swapaxes(tet.e, -1, -2)[..., :, :, None] * al[..., None, None, :]
+    tau /= geom.c**2
+    return tau
 
 
 def total_connection_at(
     geom: StringGeometry, pt: SpacetimePoint, accel: np.ndarray
 ) -> np.ndarray:
     """Total transport connection: spin connection plus Fermi-Walker term."""
-    return spin_connection_at(geom, pt) + fw_connection_at(geom, pt, accel)
+    omega = spin_connection_at(geom, pt)
+    omega += fw_connection_at(geom, pt, accel)
+    return omega
 
 
 def riemann_at(geom: StringGeometry, pt: SpacetimePoint, h: float = 1e-4) -> np.ndarray:
@@ -256,26 +291,31 @@ def transport_frame_vector(
     """Parallel-transport frame components of ``v`` along a circle of radius ``rho``.
 
     Integrates dV^a/dphi = -omega_phi^a_b V^b over the arc [0, Phi] in
-    ``steps`` midpoint sub-arcs and tracks the accumulated rotation angle in
-    the (1, 3) plane (unwrapped; steps must keep each increment below pi).
-    Returns the transported components and the signed rotation angle.
+    ``steps`` midpoint sub-arcs with the path-ordered product engine of
+    :mod:`eprfw.transport`, and tracks the accumulated rotation angle in the
+    (1, 3) plane: the sum of the per-step rotation angles, each in (-pi, pi]
+    (unwrapped; steps must keep each increment below pi), or 0 when ``v``
+    has no (1, 3) part to rotate.  Returns the transported components and the
+    signed rotation angle.
     """
+    from .transport import _ordered_product, _step_exponentials  # transport imports this module
+
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    v = np.asarray(v, dtype=float).copy()
+    v = np.asarray(v, dtype=float)
     dphi = Phi / steps
+
+    def generator(phi):
+        return -spin_connection_at(geom, SpacetimePoint(rho=rho, phi=phi))[..., PHI, :, :]
+
+    chunks = list(_step_exponentials(generator, 0.0, dphi, steps, _FRAME_PLANES))
+    op = _ordered_product(chunks, _FRAME_PLANES, 4)
     angle = 0.0
-    for k in range(steps):
-        pt = SpacetimePoint(rho=rho, phi=(k + 0.5) * dphi)
-        w = spin_connection_at(geom, pt)[PHI]
-        prev = math.atan2(v[3], v[1]) if (v[1] or v[3]) else None
-        v = expm(-w * dphi) @ v
-        if prev is not None:
-            cur = math.atan2(v[3], v[1])
-            d = cur - prev
-            d = (d + math.pi) % (2.0 * math.pi) - math.pi
-            angle += d
-    return v, angle
+    if v[1] or v[3]:
+        for exps in chunks:
+            rot = exps[:, 1]  # the (1, 3) block of every step
+            angle += float(np.arctan2(rot[:, 1, 0], rot[:, 0, 0]).sum())
+    return op @ v, angle
 
 
 def holonomy_deficit_angle(geom: StringGeometry, Phi: float = 2.0 * math.pi, steps: int = 512) -> float:

@@ -30,6 +30,16 @@ Sign conventions are load-bearing and pinned by tests, not by taste:
   rotation leg (as a literal sign flip of U^phi with positive proper time
   would suggest) leaves a spurious psi+ component in the evolved pair state
   and is rejected by the pair-evolution test.
+
+The path-ordered product is one array engine, shared with the frame-vector
+transport of :mod:`eprfw.geometry`.  It takes the midpoint azimuths of the
+steps in chunks of ``_CHUNK``; per chunk it evaluates the generators in one
+call over the array of azimuths, exponentiates every step in closed form and
+multiplies the steps by a pairwise tree (later steps on the left), then folds
+the chunk products in path order.  The closed form holds because every
+generator is block diagonal in traceless 2x2 blocks: one block for spin-half,
+the two chiral blocks for Dirac.  The tree product follows Blelloch, "Prefix
+sums and their applications", CMU-CS-90-190 (1990).
 """
 
 from __future__ import annotations
@@ -38,7 +48,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .geometry import (
     MINKOWSKI,
@@ -73,6 +82,13 @@ IDENTITY2 = np.eye(2, dtype=complex)
 
 REPRESENTATIONS = ("spin-half", "dirac")
 
+# Row/column index pairs of the diagonal 2x2 blocks of each representation.
+_BLOCKS = {"spin-half": ((0, 1),), "dirac": ((0, 1), (2, 3))}
+
+# Steps per generator evaluation.  Bounds the per-chunk arrays: a connection
+# that varies along phi takes 512 bytes per step for each (4, 4, 4) array.
+_CHUNK = 1024
+
 _EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _EPS3[_i, _j, _k] = 1.0
@@ -93,13 +109,8 @@ def gamma_matrices() -> np.ndarray:
     return g
 
 
-def lorentz_generators(representation: str = "spin-half") -> np.ndarray:
-    """Lorentz-generator family Sigma^{ab}, shape (4, 4, n, n), antisymmetric in (a, b).
-
-    ``spin-half`` gives the 2x2 family described in the module docstring;
-    ``dirac`` gives the block-diagonal 4x4 chiral family -(i/4)[g^a, g^b],
-    whose right-handed block equals the spin-half family exactly.
-    """
+def _build_generators(representation: str) -> np.ndarray:
+    """The family of one of :data:`REPRESENTATIONS`; see :func:`lorentz_generators`."""
     if representation == "spin-half":
         sig = np.zeros((4, 4, 2, 2), dtype=complex)
         paulis = (SIGMA1, SIGMA2, SIGMA3)
@@ -112,14 +123,115 @@ def lorentz_generators(representation: str = "spin-half") -> np.ndarray:
                     if _EPS3[j, k, ell]:
                         sig[j + 1, k + 1] += 0.5 * _EPS3[j, k, ell] * paulis[ell]
         return sig
-    if representation == "dirac":
-        g = gamma_matrices()
-        sig = np.zeros((4, 4, 4, 4), dtype=complex)
-        for a in range(4):
-            for b in range(4):
-                sig[a, b] = -0.25j * (g[a] @ g[b] - g[b] @ g[a])
-        return sig
-    raise ValueError(f"unknown representation {representation!r}; expected one of {REPRESENTATIONS}")
+    g = gamma_matrices()
+    sig = np.zeros((4, 4, 4, 4), dtype=complex)
+    for a in range(4):
+        for b in range(4):
+            sig[a, b] = -0.25j * (g[a] @ g[b] - g[b] @ g[a])
+    return sig
+
+
+_GENERATORS = {rep: _build_generators(rep) for rep in REPRESENTATIONS}
+for _sig in _GENERATORS.values():
+    _sig.setflags(write=False)
+
+
+def lorentz_generators(representation: str = "spin-half") -> np.ndarray:
+    """Lorentz-generator family Sigma^{ab}, shape (4, 4, n, n), antisymmetric in (a, b).
+
+    ``spin-half`` gives the 2x2 family described in the module docstring;
+    ``dirac`` gives the block-diagonal 4x4 chiral family -(i/4)[g^a, g^b],
+    whose right-handed block equals the spin-half family exactly.  The
+    families are built once; the returned array is shared and read-only.
+    """
+    try:
+        return _GENERATORS[representation]
+    except KeyError:
+        raise ValueError(
+            f"unknown representation {representation!r}; expected one of {REPRESENTATIONS}"
+        ) from None
+
+
+# ------------------------------------------------------ path-ordered engine
+
+
+def _split_blocks(a: np.ndarray, blocks) -> np.ndarray:
+    """Diagonal 2x2 blocks ``(..., B, 2, 2)`` of matrices ``(..., n, n)``; all else must vanish."""
+    idx = np.array(blocks)
+    out = a[..., idx[:, :, None], idx[:, None, :]]
+    # the blocks are a subset of the entries: equal nonzero counts mean the rest vanishes
+    if np.count_nonzero(out) != np.count_nonzero(a):
+        raise ValueError(f"generator is not block diagonal in the index pairs {blocks}")
+    return out
+
+
+def _join_blocks(b: np.ndarray, blocks, n: int) -> np.ndarray:
+    """Inverse of :func:`_split_blocks`: ``(B, 2, 2)`` blocks into one ``(n, n)`` matrix."""
+    idx = np.array(blocks)
+    out = np.zeros((n, n), dtype=b.dtype)
+    out[idx[:, :, None], idx[:, None, :]] = b
+    return out
+
+
+def _expm_traceless(a: np.ndarray) -> np.ndarray:
+    """exp(a) for stacked traceless 2x2 matrices ``a[..., 2, 2]``, in closed form.
+
+    a @ a = s^2 I with s^2 = -det a, so exp(a) = cosh(s) I + (sinh(s)/s) a.
+    s = 0 gives I + a, exactly I for a = 0.  Real ``a`` gives a real result.
+    """
+    s2 = a[..., 0, 1] * a[..., 1, 0] - a[..., 0, 0] * a[..., 1, 1]
+    s = np.sqrt(s2.astype(complex))
+    out = np.sinc(1j * s / np.pi)[..., None, None] * a  # sinh(s)/s, exactly 1 at s = 0
+    cosh = np.cosh(s)
+    out[..., 0, 0] += cosh
+    out[..., 1, 1] += cosh
+    return out if np.iscomplexobj(a) else out.real
+
+
+def _tree_product(mats: np.ndarray) -> np.ndarray:
+    """Ordered product ``mats[-1] @ ... @ mats[0]`` of a block stack ``(m, B, 2, 2)``.
+
+    Each level multiplies neighbouring pairs, later on the left, carrying an
+    odd one out.  The matrix indices are moved in front, so that each level is
+    three elementwise operations over the whole stack (numpy's matmul spends
+    one BLAS call on every 2x2 product).
+    """
+    x = mats.transpose(2, 3, 1, 0)  # x[i, j, b, k] = mats[k, b, i, j]
+    while x.shape[-1] > 1:
+        n = x.shape[-1]
+        later, earlier = x[..., 1::2], x[..., : n - 1 : 2]
+        paired = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
+        x = np.concatenate([paired, x[..., -1:]], axis=-1) if n % 2 else paired
+    return x[..., 0].transpose(2, 0, 1)
+
+
+def _step_exponentials(generator, phi0: float, dphi: float, steps: int, blocks):
+    """Exponentials of the midpoint-rule steps, yielded chunk by chunk in path order.
+
+    Step k runs from ``phi0 + k dphi`` to ``phi0 + (k + 1) dphi``.
+    ``generator(phi)`` receives the array of midpoint azimuths of one chunk
+    and returns the generators per unit azimuth, ``(..., n, n)`` broadcasting
+    to ``(len(phi), n, n)`` and block diagonal in the index pairs ``blocks``.
+    Each chunk is an array ``(len(phi), B, 2, 2)`` of the step exponentials'
+    diagonal blocks.
+    """
+    for start in range(0, steps, _CHUNK):
+        phi = phi0 + (np.arange(start, min(start + _CHUNK, steps)) + 0.5) * dphi
+        gen = _split_blocks(generator(phi) * dphi, blocks)
+        yield np.broadcast_to(_expm_traceless(gen), phi.shape + gen.shape[-3:])
+
+
+def _ordered_product(chunks, blocks, n: int) -> np.ndarray:
+    """The ``(n, n)`` product of every step, later steps on the left.
+
+    Each chunk of :func:`_step_exponentials` is reduced by a pairwise tree;
+    the chunk products are then folded in path order.
+    """
+    op = None
+    for exps in chunks:
+        part = _tree_product(exps)
+        op = part if op is None else part @ op
+    return _join_blocks(op, blocks, n)
 
 
 @dataclass(frozen=True)
@@ -186,11 +298,17 @@ def transport_from_connection(
     The arc [phi0, phi0 + direction * Phi] is split into ``steps`` uniform
     sub-arcs; on each, the generator is evaluated at the midpoint azimuth and
     exponentiated (exponential midpoint rule: globally second order once the
-    generator varies along the path, exact per step when it does not).
+    generator varies along the path, exact per step when it does not).  The
+    product is formed by the array engine described in the module docstring.
 
     ``connection_fn(geom, pt, accel)`` may replace the total connection; the
     self-check suite uses this to prove that a corrupted connection is caught
-    by the end-to-end tests.
+    by the end-to-end tests.  It is called once per chunk of up to ``_CHUNK``
+    steps with a point whose ``phi`` is the array of the chunk's M midpoint
+    azimuths, and must return the connection ``X[..., mu, a, b]`` as an
+    array that broadcasts to ``(M, 4, 4, 4)``; a connection that does not
+    vary along phi may return a single ``(4, 4, 4)`` array.  The connection
+    functions of :mod:`eprfw.geometry` all behave this way.
 
     The azimuth is continued with its sign, so the partner particle
     (direction = -1) is transported toward -Phi; see the module docstring.
@@ -204,16 +322,15 @@ def transport_from_connection(
     geom = wl.geom
     sig = lorentz_generators(representation)
     dim = sig.shape[-1]
+    sig_flat = sig.reshape(16, dim * dim)
     accel = proper_acceleration(wl)
     ch, sh = math.cosh(wl.xi), math.sinh(wl.xi)
     dphi = wl.direction * Phi / steps
-    op = np.eye(dim, dtype=complex)
-    for k in range(steps):
-        phi_mid = phi0 + (k + 0.5) * dphi
-        pt = SpacetimePoint(rho=wl.rho, phi=phi_mid)
-        omega = connection_fn(geom, pt, accel)
-        w = MINKOWSKI @ omega  # lower the first frame index: w[mu, a, b] = Omega_{mu a b}
-        wab = w[PHI].copy()  # dx^phi/dphi = 1 along the continued azimuth
+
+    def generator(phi):
+        omega = connection_fn(geom, SpacetimePoint(rho=wl.rho, phi=phi), accel)
+        # lower the first frame index: w[mu, a, b] = Omega_{mu a b}
+        wab = MINKOWSKI @ omega[..., PHI, :, :]  # dx^phi/dphi = 1 along the continued azimuth
         if wl.xi > 0.0:
             # dx^t/dphi = U^t / U^phi; at rest the boost rows of Omega vanish
             # identically (a = 0), so the time leg drops out exactly.  The
@@ -222,10 +339,12 @@ def transport_from_connection(
             # boost/rotation mix of the per-step generator changes along the
             # path (a pure alpha(phi) rescaling of the whole generator would
             # keep every step commuting and leave path ordering untested).
-            wab += w[T] * (geom.alpha * wl.rho * ch / (geom.c * sh))
-        gen = -0.5j * np.einsum("ab,abij->ij", wab, sig)
-        op = expm(gen * dphi) @ op
-    return op
+            wab = wab + (MINKOWSKI @ omega[..., T, :, :]) * (geom.alpha * wl.rho * ch / (geom.c * sh))
+        lead = wab.shape[:-2]
+        return -0.5j * (wab.reshape(lead + (16,)) @ sig_flat).reshape(lead + (dim, dim))
+
+    blocks = _BLOCKS[representation]
+    return _ordered_product(_step_exponentials(generator, phi0, dphi, steps, blocks), blocks, dim)
 
 
 def transport_numeric(

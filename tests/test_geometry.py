@@ -264,3 +264,58 @@ def test_phi_modulated_geometry_is_pointwise():
     pt = SpacetimePoint(rho=2.0, phi=phi)
     pt_local = SpacetimePoint(rho=2.0, phi=0.0)
     assert np.allclose(spin_connection_at(geom, pt), spin_connection_at(local, pt_local), atol=1e-15)
+
+
+# -------------------------------------------------- fields over phi arrays
+
+
+PHI_ARRAY = np.linspace(-2.0, 7.0, 37)
+ARRAY_GEOMS = (StringGeometry(0.5), PhiModulatedGeometry(alpha=0.5, epsilon=0.4, k=3))
+
+
+def test_phi_modulated_alpha_accepts_arrays():
+    geom = ARRAY_GEOMS[1]
+    values = geom.alpha_at(PHI_ARRAY)
+    assert values.shape == PHI_ARRAY.shape
+    assert np.array_equal(values, [geom.alpha_at(phi) for phi in PHI_ARRAY])
+
+
+@pytest.mark.parametrize("geom", ARRAY_GEOMS)
+@pytest.mark.parametrize("field", ["spin", "fw", "total", "metric", "christoffel"])
+def test_fields_over_phi_array_match_pointwise(geom, field):
+    accel = accel_for(0.75, geom=geom)
+    fn = {
+        "spin": spin_connection_at,
+        "fw": lambda g, pt: fw_connection_at(g, pt, accel),
+        "total": lambda g, pt: total_connection_at(g, pt, accel),
+        "metric": metric_at,
+        "christoffel": christoffel_at,
+    }[field]
+    stacked = np.stack([fn(geom, SpacetimePoint(rho=2.0, phi=phi)) for phi in PHI_ARRAY])
+    batch = fn(geom, SpacetimePoint(rho=2.0, phi=PHI_ARRAY))
+    # a geometry constant along phi returns its single value, which broadcasts
+    expected_shape = stacked.shape if isinstance(geom, PhiModulatedGeometry) else stacked.shape[1:]
+    assert batch.shape == expected_shape
+    assert np.abs(np.broadcast_to(batch, stacked.shape) - stacked).max() <= 1e-15
+
+
+def test_tetrad_over_phi_array_matches_pointwise():
+    geom = ARRAY_GEOMS[1]
+    tet = tetrad_at(geom, SpacetimePoint(rho=2.0, phi=PHI_ARRAY))
+    for k, phi in enumerate(PHI_ARRAY):
+        one = tetrad_at(geom, SpacetimePoint(rho=2.0, phi=phi))
+        assert np.abs(tet.e[k] - one.e).max() <= 1e-15
+        assert np.abs(tet.einv[k] - one.einv).max() <= 1e-15
+
+
+@pytest.mark.parametrize("geom", ARRAY_GEOMS)
+def test_scalar_phi_keeps_field_shapes(geom):
+    pt = SpacetimePoint(rho=2.0, phi=0.3)
+    accel = accel_for(0.75, geom=geom)
+    assert metric_at(geom, pt).shape == (4, 4)
+    tet = tetrad_at(geom, pt)
+    assert tet.e.shape == tet.einv.shape == (4, 4)
+    assert christoffel_at(geom, pt).shape == (4, 4, 4)
+    assert spin_connection_at(geom, pt).shape == (4, 4, 4)
+    assert fw_connection_at(geom, pt, accel).shape == (4, 4, 4)
+    assert total_connection_at(geom, pt, accel).shape == (4, 4, 4)

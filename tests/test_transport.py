@@ -6,8 +6,19 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from eprfw.geometry import PhiModulatedGeometry, StringGeometry
-from eprfw.kinematics import CircularWorldline
+from eprfw import transport
+from eprfw.geometry import (
+    MINKOWSKI,
+    PHI,
+    T,
+    PhiModulatedGeometry,
+    SpacetimePoint,
+    StringGeometry,
+    spin_connection_at,
+    total_connection_at,
+    transport_frame_vector,
+)
+from eprfw.kinematics import CircularWorldline, proper_acceleration
 from eprfw.transport import (
     IDENTITY2,
     apply_to_spinor,
@@ -22,7 +33,7 @@ from eprfw.transport import (
     transport_params,
     wigner_angle,
 )
-from eprfw.transport import _gamma_matrix
+from eprfw.transport import _expm_traceless, _gamma_matrix, _split_blocks
 
 ALPHAS = (0.25, 0.5, 0.9, 1.0)
 SINH_XIS = (0.0, 0.75, 2.0)
@@ -396,3 +407,147 @@ def test_transport_independent_of_unit_choice():
         params = transport_params(wl, math.pi)
         assert params.theta == pytest.approx(0.625 * math.pi, abs=1e-12)
     assert np.abs(ops[0] - ops[1]).max() <= 1e-12
+
+
+# ------------------------------------------------------------------ engine
+#
+# The two loops below are the sequential per-step products (one connection
+# evaluation and one scipy expm per step) that the array engine replaced,
+# kept as its reference.
+
+
+def sequential_transport(wl, Phi, steps, representation="spin-half", phi0=0.0):
+    sig = lorentz_generators(representation)
+    op = np.eye(sig.shape[-1], dtype=complex)
+    geom, accel = wl.geom, proper_acceleration(wl)
+    ch, sh = math.cosh(wl.xi), math.sinh(wl.xi)
+    dphi = wl.direction * Phi / steps
+    for k in range(steps):
+        pt = SpacetimePoint(rho=wl.rho, phi=phi0 + (k + 0.5) * dphi)
+        w = MINKOWSKI @ total_connection_at(geom, pt, accel)
+        wab = w[PHI].copy()
+        if wl.xi > 0.0:
+            wab += w[T] * (geom.alpha * wl.rho * ch / (geom.c * sh))
+        gen = -0.5j * np.einsum("ab,abij->ij", wab, sig)
+        op = expm(gen * dphi) @ op
+    return op
+
+
+def sequential_frame_vector(geom, v, Phi, rho=1.0, steps=256):
+    v = np.asarray(v, dtype=float).copy()
+    dphi = Phi / steps
+    angle = 0.0
+    for k in range(steps):
+        w = spin_connection_at(geom, SpacetimePoint(rho=rho, phi=(k + 0.5) * dphi))[PHI]
+        prev = math.atan2(v[3], v[1]) if (v[1] or v[3]) else None
+        v = expm(-w * dphi) @ v
+        if prev is not None:
+            d = math.atan2(v[3], v[1]) - prev
+            angle += (d + math.pi) % (2.0 * math.pi) - math.pi
+    return v, angle
+
+
+def random_traceless(rng, shape, complex_=True, scale=0.5):
+    # Entries of order 0.5 are already larger than any step of a dense
+    # product.  scipy's expm is the oracle here, and at real entries of
+    # order 1 it is itself off by up to 1e-11 (against 40-digit arithmetic),
+    # while the closed form stays within 1e-14.
+    a = scale * rng.standard_normal(shape + (2, 2))
+    if complex_:
+        a = a + 1j * scale * rng.standard_normal(shape + (2, 2))
+    a[..., 1, 1] = -a[..., 0, 0]
+    return a
+
+
+def test_closed_form_step_exponential_matches_stacked_expm():
+    rng = np.random.default_rng(7)
+    for complex_ in (True, False):
+        gens = random_traceless(rng, (200,), complex_)
+        assert np.abs(_expm_traceless(gens) - expm(gens)).max() <= 1e-13
+    # Dirac generators: random connections through the chiral family, per block
+    wab = rng.standard_normal((50, 4, 4))
+    dirac = -0.5j * np.einsum("mab,abij->mij", wab, lorentz_generators("dirac"))
+    blocks = _split_blocks(dirac, ((0, 1), (2, 3)))
+    assert np.abs(_expm_traceless(blocks) - expm(blocks)).max() <= 1e-13
+    assert np.abs(blocks[:, 0] - dirac[:, :2, :2]).max() == 0.0
+    assert np.abs(blocks[:, 1] - dirac[:, 2:, 2:]).max() == 0.0
+
+
+def test_closed_form_step_exponential_edge_cases():
+    zero = np.zeros((2, 2), dtype=complex)
+    assert np.array_equal(_expm_traceless(zero), np.eye(2))  # s = 0 gives exactly I
+    nilpotent = np.array([[0.0, 0.3], [0.0, 0.0]])  # s = 0 with a != 0: exp = I + a
+    assert np.array_equal(_expm_traceless(nilpotent), np.eye(2) + nilpotent)
+    rotation = np.array([[0.0, -0.7], [0.7, 0.0]])  # s^2 = -0.49: imaginary s
+    out = _expm_traceless(rotation)
+    assert out.dtype == float
+    assert np.abs(out - expm(rotation)).max() <= 1e-13
+    boost = 0.4j * np.array([[0.0, 1.0], [1.0, 0.0]])  # s^2 = -0.16 with complex entries
+    assert np.abs(_expm_traceless(boost) - expm(boost)).max() <= 1e-13
+    tiny = random_traceless(np.random.default_rng(3), (20,)) * 1e-9
+    assert np.abs(_expm_traceless(tiny) - expm(tiny)).max() <= 1e-13
+
+
+def test_split_blocks_rejects_mixing_generator():
+    mixing = np.zeros((4, 4))
+    mixing[0, 1] = 1.0
+    with pytest.raises(ValueError, match="not block diagonal"):
+        _split_blocks(mixing, ((0, 2), (1, 3)))
+
+
+def test_lorentz_generators_are_cached_read_only():
+    for rep in ("spin-half", "dirac"):
+        sig = lorentz_generators(rep)
+        assert lorentz_generators(rep) is sig
+        with pytest.raises(ValueError):
+            sig[0, 1, 0, 0] = 1.0
+
+
+ENGINE_STEPS = (1, 2, 3, 1023, 1025, 4097)
+
+
+@pytest.mark.parametrize("steps", ENGINE_STEPS)
+@pytest.mark.parametrize("direction", [+1, -1])
+@pytest.mark.parametrize("rep", ["spin-half", "dirac"])
+@pytest.mark.parametrize("modulated", [False, True], ids=["string", "modulated"])
+def test_engine_matches_sequential_product(steps, direction, rep, modulated):
+    geom = PhiModulatedGeometry(alpha=0.5, epsilon=0.4, k=1) if modulated else StringGeometry(0.5)
+    wl = CircularWorldline(geom, rho=2.0, xi=XI_REF, direction=direction)
+    engine = transport_from_connection(wl, math.pi, steps, rep, phi0=0.3)
+    assert np.abs(engine - sequential_transport(wl, math.pi, steps, rep, phi0=0.3)).max() <= 1e-12
+
+
+def test_connection_hook_gets_chunks_of_midpoints():
+    wl = variable_mode_worldline()
+    steps, seen = 2500, []
+
+    def recording(geom, pt, accel):
+        seen.append(np.array(pt.phi))
+        return total_connection_at(geom, pt, accel)
+
+    op = transport_from_connection(wl, math.pi, steps, connection_fn=recording)
+    chunk = transport._CHUNK
+    assert steps > 2 * chunk  # several chunks, the last one partial
+    assert [len(phi) for phi in seen] == [min(chunk, steps - s) for s in range(0, steps, chunk)]
+    dphi = math.pi / steps
+    assert np.array_equal(np.concatenate(seen), [(k + 0.5) * dphi for k in range(steps)])
+    assert np.abs(op - transport_from_connection(wl, math.pi, steps)).max() == 0.0
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_frame_vector_matches_sequential_on_holonomy_grid(alpha):
+    geom = StringGeometry(alpha)
+    v0 = np.array([0.0, 1.0, 0.0, 0.0])
+    v, angle = transport_frame_vector(geom, v0, 2 * math.pi, steps=512)
+    v_ref, angle_ref = sequential_frame_vector(geom, v0, 2 * math.pi, steps=512)
+    assert np.abs(v - v_ref).max() <= 1e-12
+    assert abs(angle - angle_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("v0", [[0.3, 0.2, -0.5, 0.7], [1.0, 0.0, 0.4, 0.0]])
+def test_frame_vector_matches_sequential_modulated(v0):
+    geom = PhiModulatedGeometry(alpha=0.5, epsilon=0.4, k=2)
+    v, angle = transport_frame_vector(geom, v0, 5.0, rho=1.5, steps=1500)
+    v_ref, angle_ref = sequential_frame_vector(geom, v0, 5.0, rho=1.5, steps=1500)
+    assert np.abs(v - v_ref).max() <= 1e-12
+    assert abs(angle - angle_ref) <= 1e-12
