@@ -22,8 +22,8 @@ from eprfw import (
     PhiModulatedGeometry,
     StringGeometry,
     chiral_block,
+    transport,
     transport_closed_form,
-    transport_numeric,
     transport_params,
     wigner_angle,
 )
@@ -46,10 +46,10 @@ print(f"  det = {np.linalg.det(closed).real:+.12f}")
 print(f"  unitarity defect |Xi' Xi - I| = {np.abs(closed.conj().T @ closed - np.eye(2)).max():.3f}"
       "  (boosted transport is not unitary)")
 
-num = transport_numeric(wl, Phi, steps=256)
+num = transport.transport_from_connection(wl, Phi, steps=256)
 print(f"\npath-ordered product, N = 256 steps: max deviation {np.abs(num - closed).max():.2e}")
 
-dirac = transport_numeric(wl, Phi, steps=2048, representation="dirac")
+dirac = transport.transport_from_connection(wl, Phi, steps=2048, representation="dirac")
 block = chiral_block(dirac, "right")
 print(f"Dirac transport, right chiral block vs 2x2: {np.abs(block - closed).max():.2e}")
 
@@ -69,10 +69,10 @@ print(f"  full flat loop: Xi = -I (spinor double cover), max |Xi + I| = {np.abs(
 print("\nconvergence study in the modulated mode (second-order midpoint product):")
 mod = PhiModulatedGeometry(alpha=0.5, epsilon=0.4, k=1)
 wl_mod = CircularWorldline(mod, rho=2.0, xi=math.asinh(0.75))
-ref = transport_numeric(wl_mod, Phi, steps=32768)
+ref = transport.transport_from_connection(wl_mod, Phi, steps=32768)
 previous = None
 for n in (16, 32, 64, 128, 256, 512, 1024):
-    err = np.abs(transport_numeric(wl_mod, Phi, n) - ref).max()
+    err = np.abs(transport.transport_from_connection(wl_mod, Phi, n) - ref).max()
     ratio = "" if previous is None else f"   ratio {previous / err:4.2f}"
     print(f"  N = {n:5d}: error {err:.3e}{ratio}")
     previous = err

@@ -52,7 +52,6 @@ from .transport import (
     lorentz_generators,
     transport_closed_form,
     transport_from_connection,
-    transport_numeric,
     transport_params,
     wigner_angle,
 )

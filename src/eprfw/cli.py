@@ -7,7 +7,8 @@ in.  Numbers are serialized with 17 significant digits so that parsing an
 emitted file reproduces them exactly; identical configurations produce
 byte-identical output.
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 check failure, 2 usage error (including input outside
+the domain, and overflow or underflow that input causes), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -60,27 +61,19 @@ class RunConfig:
         return self.xi if self.xi is not None else 0.0
 
     def validate(self) -> "RunConfig":
-        if not 0.0 < self.alpha <= 1.0:
-            raise UsageError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.rho <= 0.0:
-            raise UsageError(f"rho: on string axis: rho must be positive, got {self.rho}")
-        if self.c <= 0.0:
-            raise UsageError(f"c must be positive, got {self.c}")
+        """Check the rules only the command line knows, then build the domain
+        objects, whose constructors check alpha, c, rho, beta and xi."""
         if self.steps is not None and self.steps < 1:
             raise UsageError(f"steps must be >= 1, got {self.steps}")
         if self.format not in ("csv", "json"):
             raise UsageError(f"format must be csv or json, got {self.format}")
-        if self.beta is not None and not 0.0 <= self.beta < 1.0:
-            raise UsageError(f"beta (v/c) must lie in [0, 1), got {self.beta}")
-        if self.xi is not None and self.xi < 0.0:
-            raise UsageError(f"xi must be non-negative, got {self.xi}")
         if self.sweep is not None:
             var, _, _, count = self.sweep
             if var not in SWEEP_VARS:
                 raise UsageError(f"sweep variable must be one of {SWEEP_VARS}, got {var!r}")
             if count < 1:
                 raise UsageError(f"sweep count must be >= 1, got {count}")
-        self.resolved_xi()
+        CircularWorldline(StringGeometry(self.alpha, c=self.c), rho=self.rho, xi=self.resolved_xi())
         return self
 
 
@@ -241,7 +234,7 @@ def cmd_transport(cfg: RunConfig) -> int:
         wl = CircularWorldline(geom, rho=cfg.rho, xi=xi, direction=direction)
         params = transport.transport_params(wl, cfg.phi)
         op = transport.transport_closed_form(params)
-        num = transport.transport_numeric(wl, cfg.phi, steps)
+        num = transport.transport_from_connection(wl, cfg.phi, steps)
         lines.append(f"particle toward phi={'+' if direction > 0 else '-'}Phi:")
         lines.append(f"  eta1={_fmt(params.eta1)} eta2={_fmt(params.eta2)} theta={_fmt(params.theta)}")
         lines.append(f"  Xi closed form rows: [{_fmt(op[0, 0].real)} {_fmt(op[0, 1].real)}] [{_fmt(op[1, 0].real)} {_fmt(op[1, 1].real)}]")
@@ -249,7 +242,7 @@ def cmd_transport(cfg: RunConfig) -> int:
         lines.append(f"  numeric (N={steps}) max deviation = {_fmt(np.abs(num - op).max())}")
         unitarity = np.abs(op.conj().T @ op - np.eye(2)).max()
         lines.append(f"  unitarity deviation |Xi'Xi - I| = {_fmt(unitarity)}")
-    lines.append(f"wigner angle theta = {_fmt(transport.wigner_angle(cfg.alpha, xi, cfg.phi))}")
+    lines.append(f"wigner angle theta = {_fmt(params.theta)}")
     _write_text(cfg, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -302,16 +295,7 @@ def cmd_verify(cfg: RunConfig, inject_omega_sign_flip: bool = False) -> int:
     if cfg.format == "json":
         payload = {
             "version": __version__,
-            "checks": [
-                {
-                    "name": result.name,
-                    "tolerance": result.tolerance,
-                    "observed": result.observed,
-                    "passed": result.passed,
-                    "note": result.note,
-                }
-                for result in results
-            ],
+            "checks": [asdict(result) for result in results],
             "passed": not failed,
         }
         _write_text(cfg, json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -369,7 +353,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, inject_omega_sign_flip=args.inject_omega_sign_flip)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, ValueError) as exc:
+    except (ValueError, ArithmeticError) as exc:  # bad input, or an overflow or underflow it causes
         print(f"eprfw: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -266,14 +266,10 @@ def bell_report(
     worldline pair is used internally.
     """
     geom = StringGeometry(alpha=alpha, c=c)
-    xi_plus = transport_closed_form(
-        transport_params(CircularWorldline(geom, rho=1.0, xi=xi, direction=+1), Phi)
-    )
-    xi_minus = transport_closed_form(
-        transport_params(CircularWorldline(geom, rho=1.0, xi=xi, direction=-1), Phi)
-    )
-    state = evolve_pair(initial_state(), xi_plus, xi_minus)
-    theta = wigner_angle(alpha, xi, Phi)
+    plus = transport_params(CircularWorldline(geom, rho=1.0, xi=xi, direction=+1), Phi)
+    minus = transport_params(CircularWorldline(geom, rho=1.0, xi=xi, direction=-1), Phi)
+    state = evolve_pair(initial_state(), transport_closed_form(plus), transport_closed_form(minus))
+    theta = plus.theta
     restored = chsh_restored(state, theta, assignment)
     coeffs = bell_decomposition(state)
     return BellReport(

@@ -76,8 +76,8 @@ class StringGeometry:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.c <= 0.0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"c must be finite and positive, got {self.c}")
 
     def alpha_at(self, phi):
         """Local deficit factor; constant for the physical string geometry.
@@ -124,6 +124,8 @@ class SpacetimePoint:
     phi: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.rho):
+            raise ValueError(f"rho must be finite, got {self.rho}")
         if self.rho <= 0.0:
             raise OnAxisError(f"on string axis: rho must be positive, got {self.rho}")
 

@@ -22,7 +22,12 @@ __all__ = [
     "proper_time_total",
     "four_momentum_frame",
     "xi_from_beta",
+    "XI_MAX",
 ]
+
+# Largest accepted rapidity: at alpha = 0.5, Phi = 1 the pair's squared norm
+# overflows in the CHSH correlators from xi ~ 354.89 (cosh(2 xi) at 355.24).
+XI_MAX = 350.0
 
 
 @dataclass(frozen=True)
@@ -35,10 +40,9 @@ class CircularWorldline:
     direction: int = +1
 
     def __post_init__(self):
-        if self.rho <= 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.xi < 0.0:
-            raise ValueError(f"rapidity must be non-negative, got {self.xi}")
+        self.point()  # rejects a radius off the domain of SpacetimePoint
+        if not 0.0 <= self.xi <= XI_MAX:
+            raise ValueError(f"rapidity xi must lie in [0, {XI_MAX:g}], got {self.xi}")
         if self.direction not in (+1, -1):
             raise ValueError(f"direction must be +1 or -1, got {self.direction}")
 
@@ -97,7 +101,7 @@ def four_momentum_frame(wl: CircularWorldline, mass: float) -> np.ndarray:
 def xi_from_beta(beta: float) -> float:
     """Rapidity from speed ratio v/c = tanh(xi); requires 0 <= beta < 1."""
     if not 0.0 <= beta < 1.0:
-        raise ValueError(f"v/c must lie in [0, 1), got {beta}")
+        raise ValueError(f"beta (v/c) must lie in [0, 1), got {beta}")
     return math.atanh(beta)
 
 

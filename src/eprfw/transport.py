@@ -66,7 +66,6 @@ __all__ = [
     "lorentz_generators",
     "transport_params",
     "transport_closed_form",
-    "transport_numeric",
     "transport_from_connection",
     "chiral_block",
     "wigner_angle",
@@ -251,19 +250,22 @@ class TransportParams:
 
 
 def transport_params(wl: CircularWorldline, Phi: float) -> TransportParams:
-    """Transport parameters for sweeping azimuth ``Phi`` > 0 along ``wl``."""
-    if Phi < 0.0:
-        raise ValueError(f"Phi must be non-negative, got {Phi}")
+    """Transport parameters for sweeping a finite azimuth ``Phi`` >= 0 along ``wl``.
+
+    Raises ``ValueError`` when the entries eta1 +- eta2 of Gamma overflow,
+    which large ``Phi`` at large rapidity can make happen.
+    """
+    if not 0.0 <= Phi < math.inf:
+        raise ValueError(f"Phi must be finite and non-negative, got {Phi}")
     alpha = wl.geom.alpha
     ch, sh = math.cosh(wl.xi), math.sinh(wl.xi)
     signed = wl.direction * alpha * Phi
-    theta = alpha * Phi * ch
-    return TransportParams(
-        eta1=-signed * sh * ch,
-        eta2=-signed * ch * ch,
-        gamma=1j * theta,
-        theta=theta,
-    )
+    eta1 = -signed * sh * ch
+    eta2 = -signed * ch * ch
+    if not (math.isfinite(eta1 + eta2) and math.isfinite(eta1 - eta2)):
+        raise ValueError(f"transport parameters overflow at alpha={alpha}, xi={wl.xi}, Phi={Phi}")
+    theta = wigner_angle(alpha, wl.xi, Phi)
+    return TransportParams(eta1=eta1, eta2=eta2, gamma=1j * theta, theta=theta)
 
 
 def _gamma_matrix(params: TransportParams) -> np.ndarray:
@@ -345,13 +347,6 @@ def transport_from_connection(
 
     blocks = _BLOCKS[representation]
     return _ordered_product(_step_exponentials(generator, phi0, dphi, steps, blocks), blocks, dim)
-
-
-def transport_numeric(
-    wl: CircularWorldline, Phi: float, steps: int, representation: str = "spin-half"
-) -> np.ndarray:
-    """Path-ordered transport operator built from the total connection."""
-    return transport_from_connection(wl, Phi, steps, representation)
 
 
 def chiral_block(d: np.ndarray, which: str = "right", tol: float = 1e-8) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Self-verification battery: every module invariant and oracle comparison.
 
-Each check reports its name, the tolerance it enforces, the observed error,
-and pass/fail.  Investigative checks (quantities the theory leaves open, such
-as the restoration residual at nonzero rapidity) carry ``tolerance=None`` and
-always pass; they exist to put the measured numbers in the report.
+The battery is the ordered registry :data:`CHECKS`; ``eprfw verify`` and the
+acceptance tests both run it.  Each check reports its name, the tolerance it
+enforces, the observed error, and pass/fail.  Investigative checks
+(quantities the theory leaves open, such as the restoration residual at
+nonzero rapidity) carry ``tolerance=None`` and always pass; they exist to put
+the measured numbers in the report.
 
 ``run_checks(inject_omega_sign_flip=True)`` corrupts the sign of the spin
 connection fed to the path-ordered integrator; the end-to-end pair-evolution
@@ -27,7 +29,7 @@ from .geometry import (
 )
 from .kinematics import CircularWorldline
 
-__all__ = ["CheckResult", "run_checks", "ALPHAS", "RHOS", "SINH_XIS", "PHIS"]
+__all__ = ["CheckResult", "CHECKS", "run_checks", "ALPHAS", "RHOS", "SINH_XIS", "PHIS"]
 
 ALPHAS = (0.25, 0.5, 0.9, 1.0)
 RHOS = (0.5, 1.0, 2.0)
@@ -58,6 +60,11 @@ class CheckResult:
         tol = "----" if self.tolerance is None else f"{self.tolerance:.1e}"
         text = f"[{status}] {self.name:<38s} observed={self.observed:.3e} tol={tol}"
         return text + (f"  ({self.note})" if self.note else "")
+
+
+def _gated(name: str, tolerance: float, observed: float, note: str = "") -> CheckResult:
+    """Result of a check that passes when ``observed`` <= ``tolerance``."""
+    return CheckResult(name, tolerance, observed, observed <= tolerance, note)
 
 
 def _grid_points():
@@ -106,7 +113,7 @@ def check_tetrad_identities() -> CheckResult:
         err = max(err, np.abs(tet.e.T @ MINKOWSKI @ tet.e - g).max())
         err = max(err, np.abs(tet.e @ tet.einv - np.eye(4)).max())
         err = max(err, np.abs(tet.einv @ tet.e - np.eye(4)).max())
-    return CheckResult("tetrad_identities", 1e-12, err, err <= 1e-12)
+    return _gated("tetrad_identities", 1e-12, err)
 
 
 def check_connection_tables() -> CheckResult:
@@ -118,7 +125,7 @@ def check_connection_tables() -> CheckResult:
         err = max(err, np.abs(geometry.spin_connection_at(geom, pt) - omega_exp).max())
         err = max(err, np.abs(geometry.fw_connection_at(geom, pt, accel) - tau_exp).max())
         err = max(err, np.abs(geometry.total_connection_at(geom, pt, accel) - total_exp).max())
-    return CheckResult("connection_component_tables", 1e-12, err, err <= 1e-12)
+    return _gated("connection_component_tables", 1e-12, err)
 
 
 def check_connection_antisymmetry() -> CheckResult:
@@ -133,28 +140,28 @@ def check_connection_antisymmetry() -> CheckResult:
         ):
             raised = np.einsum("mac,cb->mab", form, MINKOWSKI)  # X_mu^{ab}
             err = max(err, np.abs(raised + np.einsum("mab->mba", raised)).max())
-    return CheckResult("connection_antisymmetry_raised", 1e-12, err, err <= 1e-12)
+    return _gated("connection_antisymmetry_raised", 1e-12, err)
 
 
 def check_christoffel_oracle() -> CheckResult:
     err = 0.0
     for geom, pt in _grid_points():
         err = max(err, np.abs(geometry.christoffel_fd(geom, pt) - geometry.christoffel_at(geom, pt)).max())
-    return CheckResult("christoffel_finite_difference", 1e-6, err, err <= 1e-6)
+    return _gated("christoffel_finite_difference", 1e-6, err)
 
 
 def check_spin_connection_pipeline() -> CheckResult:
     err = 0.0
     for geom, pt in _grid_points():
         err = max(err, np.abs(geometry.spin_connection_fd(geom, pt) - geometry.spin_connection_at(geom, pt)).max())
-    return CheckResult("spin_connection_generic_pipeline", 1e-6, err, err <= 1e-6)
+    return _gated("spin_connection_generic_pipeline", 1e-6, err)
 
 
 def check_riemann_flatness() -> CheckResult:
     err = 0.0
     for geom, pt in _grid_points():
         err = max(err, np.abs(geometry.riemann_at(geom, pt)).max())
-    return CheckResult("riemann_off_axis_flatness", 1e-6, err, err <= 1e-6)
+    return _gated("riemann_off_axis_flatness", 1e-6, err)
 
 
 def check_holonomy_deficit() -> CheckResult:
@@ -162,7 +169,7 @@ def check_holonomy_deficit() -> CheckResult:
     for alpha in ALPHAS:
         deficit = geometry.holonomy_deficit_angle(StringGeometry(alpha))
         err = max(err, abs(deficit - 2.0 * math.pi * (1.0 - alpha)))
-    return CheckResult("holonomy_deficit_full_loop", 1e-8, err, err <= 1e-8)
+    return _gated("holonomy_deficit_full_loop", 1e-8, err)
 
 
 # -------------------------------------------------------------- kinematics
@@ -176,7 +183,7 @@ def check_velocity_normalization() -> CheckResult:
         a = kinematics.proper_acceleration(wl)
         err = max(err, abs(u @ g @ u + wl.geom.c**2))
         err = max(err, abs(u @ g @ a))
-    return CheckResult("velocity_norm_and_orthogonality", 1e-12, err, err <= 1e-12)
+    return _gated("velocity_norm_and_orthogonality", 1e-12, err)
 
 
 def check_acceleration_oracle() -> CheckResult:
@@ -188,7 +195,7 @@ def check_acceleration_oracle() -> CheckResult:
                 kinematics.proper_acceleration(wl) - kinematics.acceleration_from_velocity(wl)
             ).max(),
         )
-    return CheckResult("acceleration_covariant_oracle", 1e-8, err, err <= 1e-8)
+    return _gated("acceleration_covariant_oracle", 1e-8, err)
 
 
 # ---------------------------------------------------------------- transport
@@ -208,14 +215,14 @@ def check_gamma_matrix_square() -> CheckResult:
     for params in _params_grid():
         gam = transport._gamma_matrix(params)
         err = max(err, np.abs(gam @ gam - (params.gamma**2) * np.eye(2)).max())
-    return CheckResult("gamma_matrix_square_identity", 1e-12, err, err <= 1e-12)
+    return _gated("gamma_matrix_square_identity", 1e-12, err)
 
 
 def check_transport_determinant() -> CheckResult:
     err = 0.0
     for params in _params_grid():
         err = max(err, abs(np.linalg.det(transport.transport_closed_form(params)) - 1.0))
-    return CheckResult("transport_determinant", 1e-10, err, err <= 1e-10)
+    return _gated("transport_determinant", 1e-10, err)
 
 
 def check_closed_form_vs_expm() -> CheckResult:
@@ -223,7 +230,7 @@ def check_closed_form_vs_expm() -> CheckResult:
     for params in _params_grid():
         xi_op = transport.transport_closed_form(params)
         err = max(err, np.abs(xi_op - expm(0.5 * transport._gamma_matrix(params))).max())
-    return CheckResult("closed_form_vs_scaling_squaring", 1e-12, err, err <= 1e-12)
+    return _gated("closed_form_vs_scaling_squaring", 1e-12, err)
 
 
 def _reference_worldline(direction=+1):
@@ -233,11 +240,10 @@ def _reference_worldline(direction=+1):
 def check_numeric_fixed_coefficients(steps: int = 4096) -> CheckResult:
     wl = _reference_worldline()
     Phi = math.pi
-    num = transport.transport_numeric(wl, Phi, steps)
+    num = transport.transport_from_connection(wl, Phi, steps)
     ref = transport.transport_closed_form(transport.transport_params(wl, Phi))
     err = float(np.abs(num - ref).max())
-    return CheckResult("numeric_transport_fixed_coefficients", 1e-10, err, err <= 1e-10,
-                       note=f"N={steps}")
+    return _gated("numeric_transport_fixed_coefficients", 1e-10, err, note=f"N={steps}")
 
 
 def convergence_errors(ns=(16, 32, 64, 128, 256, 512, 1024), steps_ref: int = 32768):
@@ -245,8 +251,8 @@ def convergence_errors(ns=(16, 32, 64, 128, 256, 512, 1024), steps_ref: int = 32
     geom = PhiModulatedGeometry(alpha=0.5, epsilon=0.4, k=1)
     wl = CircularWorldline(geom, rho=2.0, xi=math.asinh(0.75))
     Phi = math.pi
-    ref = transport.transport_numeric(wl, Phi, steps_ref)
-    return [float(np.abs(transport.transport_numeric(wl, Phi, n) - ref).max()) for n in ns]
+    ref = transport.transport_from_connection(wl, Phi, steps_ref)
+    return [float(np.abs(transport.transport_from_connection(wl, Phi, n) - ref).max()) for n in ns]
 
 
 def check_integrator_convergence() -> CheckResult:
@@ -257,9 +263,10 @@ def check_integrator_convergence() -> CheckResult:
         for i in range(len(errors) - 1)
         if errors[i + 1] > floor
     ]
-    worst = min(ratios) if ratios else float("inf")
+    worst = min(ratios, default=0.0)  # no error above the floor measures no order: fail
+    bound = 1.9
     return CheckResult(
-        "integrator_convergence_order", 1.9, worst, worst >= 1.9,
+        "integrator_convergence_order", bound, worst, worst >= bound,
         note="threshold is a lower bound on the error ratio per step doubling",
     )
 
@@ -268,8 +275,8 @@ def check_single_step_vs_dense(steps_dense: int = 65536) -> CheckResult:
     wl = _reference_worldline()
     Phi = math.pi
     ref = transport.transport_closed_form(transport.transport_params(wl, Phi))
-    err1 = float(np.abs(transport.transport_numeric(wl, Phi, 1) - ref).max())
-    err_dense = float(np.abs(transport.transport_numeric(wl, Phi, steps_dense) - ref).max())
+    err1 = float(np.abs(transport.transport_from_connection(wl, Phi, 1) - ref).max())
+    err_dense = float(np.abs(transport.transport_from_connection(wl, Phi, steps_dense) - ref).max())
     ratio = err1 / err_dense if err_dense > 0 else float("inf")
     return CheckResult(
         "single_step_vs_dense_product", None, ratio, True,
@@ -280,11 +287,11 @@ def check_single_step_vs_dense(steps_dense: int = 65536) -> CheckResult:
 def check_dirac_chiral_block(steps: int = 4096) -> CheckResult:
     wl = _reference_worldline()
     Phi = math.pi
-    dirac_op = transport.transport_numeric(wl, Phi, steps, representation="dirac")
+    dirac_op = transport.transport_from_connection(wl, Phi, steps, representation="dirac")
     block = transport.chiral_block(dirac_op, "right")
     ref = transport.transport_closed_form(transport.transport_params(wl, Phi))
     err = float(np.abs(block - ref).max())
-    return CheckResult("dirac_right_block_reduction", 1e-8, err, err <= 1e-8, note=f"N={steps}")
+    return _gated("dirac_right_block_reduction", 1e-8, err, note=f"N={steps}")
 
 
 def check_wigner_rest_frame() -> CheckResult:
@@ -293,8 +300,8 @@ def check_wigner_rest_frame() -> CheckResult:
         for Phi in (math.pi / 4, math.pi / 2, math.pi):
             wl = CircularWorldline(StringGeometry(alpha), rho=1.0, xi=0.0)
             op = transport.transport_closed_form(transport.transport_params(wl, Phi))
-            err = max(err, abs(transport.rotation_angle(op) - transport.wigner_angle(alpha, 0.0, Phi)))
-    return CheckResult("wigner_angle_rest_frame", 1e-10, err, err <= 1e-10)
+            err = max(err, abs(transport.rotation_angle(op) - alpha * Phi))
+    return _gated("wigner_angle_rest_frame", 1e-10, err)
 
 
 # --------------------------------------------------------------------- epr
@@ -323,7 +330,7 @@ def check_pair_evolution_closed_form() -> CheckResult:
                 evolved = _closed_pair(alpha, xi, Phi)
                 expected = epr.final_state_closed_form(alpha, xi, Phi)
                 err = max(err, np.abs(evolved - expected).max())
-    return CheckResult("pair_evolution_closed_form", 1e-10, err, err <= 1e-10)
+    return _gated("pair_evolution_closed_form", 1e-10, err)
 
 
 def check_pair_evolution_from_connection(inject_omega_sign_flip: bool = False) -> CheckResult:
@@ -335,19 +342,19 @@ def check_pair_evolution_from_connection(inject_omega_sign_flip: bool = False) -
         expected = epr.final_state_closed_form(alpha, xi, Phi)
         err = max(err, np.abs(evolved - expected).max())
     note = "spin-connection sign flip injected" if inject_omega_sign_flip else "N=512"
-    return CheckResult("pair_evolution_from_connection", 1e-9, err, err <= 1e-9, note=note)
+    return _gated("pair_evolution_from_connection", 1e-9, err, note=note)
 
 
 def check_chsh_singlet() -> CheckResult:
     err = abs(epr.chsh_direct(epr.initial_state()) - TWO_SQRT2)
-    return CheckResult("chsh_singlet_tsirelson", 1e-12, err, err <= 1e-12)
+    return _gated("chsh_singlet_tsirelson", 1e-12, err)
 
 
 def check_chsh_closed_theta_zero() -> CheckResult:
     err = 0.0
     for sh in SINH_XIS:
         err = max(err, abs(epr.chsh_closed_form(0.0, math.asinh(sh)) - TWO_SQRT2))
-    return CheckResult("chsh_closed_form_at_theta_zero", 1e-12, err, err <= 1e-12)
+    return _gated("chsh_closed_form_at_theta_zero", 1e-12, err)
 
 
 def check_chsh_rest_frame_equivalence() -> CheckResult:
@@ -357,7 +364,7 @@ def check_chsh_rest_frame_equivalence() -> CheckResult:
             evolved = _closed_pair(alpha, 0.0, Phi)
             theta = transport.wigner_angle(alpha, 0.0, Phi)
             err = max(err, abs(epr.chsh_direct(evolved) - epr.chsh_closed_form(theta, 0.0)))
-    return CheckResult("chsh_direct_vs_closed_rest_frame", 1e-10, err, err <= 1e-10)
+    return _gated("chsh_direct_vs_closed_rest_frame", 1e-10, err)
 
 
 def check_restoration_rest_frame() -> CheckResult:
@@ -367,7 +374,7 @@ def check_restoration_rest_frame() -> CheckResult:
             evolved = _closed_pair(alpha, 0.0, Phi)
             theta = transport.wigner_angle(alpha, 0.0, Phi)
             err = max(err, abs(epr.chsh_restored(evolved, theta) - TWO_SQRT2))
-    return CheckResult("chsh_restoration_rest_frame", 1e-10, err, err <= 1e-10)
+    return _gated("chsh_restoration_rest_frame", 1e-10, err)
 
 
 def check_restoration_residual_boosted() -> CheckResult:
@@ -404,43 +411,51 @@ def check_c_scaling_regression() -> CheckResult:
         err = max(err, np.abs(tet.e.T @ MINKOWSKI @ tet.e - geometry.metric_at(geom, pt)).max())
         wl = CircularWorldline(geom, rho=2.0, xi=math.asinh(0.75))
         err = max(err, abs(kinematics.velocity_norm(wl) + c**2))
-    op1 = transport.transport_numeric(
+    op1 = transport.transport_from_connection(
         CircularWorldline(StringGeometry(0.5, c=1.0), 2.0, math.asinh(0.75)), math.pi, 64
     )
-    op2 = transport.transport_numeric(
+    op2 = transport.transport_from_connection(
         CircularWorldline(StringGeometry(0.5, c=2.0), 2.0, math.asinh(0.75)), math.pi, 64
     )
     err = max(err, float(np.abs(op1 - op2).max()))
-    return CheckResult("c_scaling_regression", 1e-12, err, err <= 1e-12)
+    return _gated("c_scaling_regression", 1e-12, err)
+
+
+# The battery, in report order; run_checks passes its options to the checks that take them.
+CHECKS = (
+    check_tetrad_identities,
+    check_connection_tables,
+    check_connection_antisymmetry,
+    check_christoffel_oracle,
+    check_spin_connection_pipeline,
+    check_riemann_flatness,
+    check_holonomy_deficit,
+    check_velocity_normalization,
+    check_acceleration_oracle,
+    check_gamma_matrix_square,
+    check_transport_determinant,
+    check_closed_form_vs_expm,
+    check_numeric_fixed_coefficients,
+    check_integrator_convergence,
+    check_single_step_vs_dense,
+    check_dirac_chiral_block,
+    check_wigner_rest_frame,
+    check_pair_evolution_closed_form,
+    check_pair_evolution_from_connection,
+    check_chsh_singlet,
+    check_chsh_closed_theta_zero,
+    check_chsh_rest_frame_equivalence,
+    check_restoration_rest_frame,
+    check_restoration_residual_boosted,
+    check_chsh_normalization_discrepancy,
+    check_c_scaling_regression,
+)
 
 
 def run_checks(inject_omega_sign_flip: bool = False, steps_dense: int = 65536) -> list[CheckResult]:
-    """Run the full battery; the optional mutation must make the suite fail."""
-    return [
-        check_tetrad_identities(),
-        check_connection_tables(),
-        check_connection_antisymmetry(),
-        check_christoffel_oracle(),
-        check_spin_connection_pipeline(),
-        check_riemann_flatness(),
-        check_holonomy_deficit(),
-        check_velocity_normalization(),
-        check_acceleration_oracle(),
-        check_gamma_matrix_square(),
-        check_transport_determinant(),
-        check_closed_form_vs_expm(),
-        check_numeric_fixed_coefficients(),
-        check_integrator_convergence(),
-        check_single_step_vs_dense(steps_dense),
-        check_dirac_chiral_block(),
-        check_wigner_rest_frame(),
-        check_pair_evolution_closed_form(),
-        check_pair_evolution_from_connection(inject_omega_sign_flip),
-        check_chsh_singlet(),
-        check_chsh_closed_theta_zero(),
-        check_chsh_rest_frame_equivalence(),
-        check_restoration_rest_frame(),
-        check_restoration_residual_boosted(),
-        check_chsh_normalization_discrepancy(),
-        check_c_scaling_regression(),
-    ]
+    """Run :data:`CHECKS` in order; the optional mutation must make the suite fail."""
+    options = {
+        check_single_step_vs_dense: {"steps_dense": steps_dense},
+        check_pair_evolution_from_connection: {"inject_omega_sign_flip": inject_omega_sign_flip},
+    }
+    return [check(**options.get(check, {})) for check in CHECKS]

@@ -1,12 +1,16 @@
 """Command-line front end: formats, precedence, determinism, exit codes."""
 
+import io
 import json
 import math
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprfw import epr
 from eprfw.cli import (
@@ -15,11 +19,13 @@ from eprfw.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    SWEEP_VARS,
     main,
     read_config_file,
 )
 
 XI_REF = math.asinh(0.75)
+NUMBERS = st.floats().map(repr)  # any float: nan, +-inf, huge and subnormal values
 
 
 def run(argv):
@@ -174,11 +180,64 @@ def test_degrees_applies_to_phi_sweep_bounds(capsys):
         ["bell", "--sweep", "alpha:0:1"],
         ["bell", "--format", "csv", "--steps", "0"],
         ["transport", "--xi", "-1"],
+        # input outside the domain: non-finite values, xi > XI_MAX,
+        # eta1 +- eta2 overflow, and overflow or underflow inside the geometry
+        ["bell", "--c", "nan"],
+        ["bell", "--rho", "nan"],
+        ["bell", "--xi", "nan"],
+        ["bell", "--phi", "nan"],
+        ["bell", "--phi", "inf"],
+        ["geometry", "--rho", "inf"],
+        ["bell", "--xi", "800"],
+        ["bell", "--xi", "400"],
+        ["bell", "--xi", "350", "--phi", "1e6"],
+        ["bell", "--alpha", "1", "--xi", "182.7", "--phi", "1e150"],
+        ["geometry", "--rho", "1e200"],
+        ["transport", "--rho", "1e300", "--xi", "1"],
+        ["geometry", "--c", "1e300", "--xi", "1"],
+        ["transport", "--xi", "4.946743251852692e-168", "--c", "4.946743251852692e-168"],
+        ["verify", "--alpha", "-1"],
     ],
 )
 def test_usage_errors(argv, capsys):
     assert run(argv) == EXIT_USAGE
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("eprfw: error: ")
+    assert "Traceback" not in err
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["geometry", "transport", "bell"]))
+    argv = [command]
+    for flag in ("--alpha", "--xi", "--beta", "--rho", "--phi", "--c"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(NUMBERS)}")  # '=' keeps '-1e-300' a value
+    if draw(st.booleans()):
+        argv.append(f"--steps={draw(st.integers(-1, 64))}")
+    if command == "bell" and draw(st.booleans()):
+        var = draw(st.sampled_from(SWEEP_VARS))
+        argv.append(f"--sweep={var}:{draw(NUMBERS)}:{draw(NUMBERS)}:{draw(st.integers(-1, 8))}")
+    if draw(st.booleans()):
+        argv.append("--degrees")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cli_argv())
+def test_any_numeric_input_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_USAGE), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if argv[0] == "bell" and code == EXIT_OK:
+        rows = out.getvalue().strip().splitlines()[1:]
+        assert rows
+        assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
 
 
 def test_on_axis_is_a_usage_error(capsys):

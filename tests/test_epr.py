@@ -37,12 +37,7 @@ from eprfw.transport import (
     transport_params,
     wigner_angle,
 )
-
-TWO_SQRT2 = 2.0 * math.sqrt(2.0)
-
-ALPHAS = (0.25, 0.5, 0.9, 1.0)
-SINH_XIS = (0.0, 0.75, 2.0)
-PHIS = (math.pi / 4, math.pi / 2, math.pi, 2 * math.pi)
+from eprfw.verify import ALPHAS, PHIS, SINH_XIS, TWO_SQRT2
 
 
 def transport_pair(alpha, xi, Phi):

@@ -29,9 +29,7 @@ from eprfw.geometry import (
     total_connection_at,
 )
 from eprfw.kinematics import CircularWorldline, proper_acceleration
-
-ALPHAS = (0.25, 0.5, 0.9, 1.0)
-RHOS = (0.5, 1.0, 2.0)
+from eprfw.verify import ALPHAS, RHOS
 
 REF_GEOM = StringGeometry(0.5)
 REF_PT = SpacetimePoint(rho=2.0)

@@ -16,10 +16,7 @@ from eprfw.kinematics import (
     velocity_norm,
     xi_from_beta,
 )
-
-ALPHAS = (0.25, 0.5, 0.9, 1.0)
-RHOS = (0.5, 1.0, 2.0)
-SINH_XIS = (0.0, 0.75, 2.0)
+from eprfw.verify import ALPHAS, RHOS, SINH_XIS
 
 
 def worldlines():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from eprfw import transport
+from eprfw import transport, verify
 from eprfw.geometry import (
     MINKOWSKI,
     PHI,
@@ -28,16 +28,12 @@ from eprfw.transport import (
     rotation_angle,
     spinor,
     transport_closed_form,
-    transport_numeric,
     transport_from_connection,
     transport_params,
     wigner_angle,
 )
 from eprfw.transport import _expm_traceless, _gamma_matrix, _split_blocks
-
-ALPHAS = (0.25, 0.5, 0.9, 1.0)
-SINH_XIS = (0.0, 0.75, 2.0)
-PHIS = (math.pi / 4, math.pi / 2, math.pi, 2 * math.pi)
+from eprfw.verify import ALPHAS, PHIS, SINH_XIS
 
 XI_REF = math.asinh(0.75)  # cosh = 1.25
 
@@ -288,31 +284,31 @@ def test_wigner_angle_monotone():
 def test_numeric_empty_path_is_identity():
     wl = ref_worldline()
     for steps in (1, 7):
-        assert np.allclose(transport_numeric(wl, 0.0, steps), IDENTITY2, atol=1e-15)
+        assert np.allclose(transport_from_connection(wl, 0.0, steps), IDENTITY2, atol=1e-15)
 
 
 def test_numeric_rejects_zero_steps():
     with pytest.raises(ValueError):
-        transport_numeric(ref_worldline(), math.pi, 0)
+        transport_from_connection(ref_worldline(), math.pi, 0)
 
 
 def test_numeric_fixed_coefficients_matches_closed_form():
     wl = ref_worldline()
     closed = transport_closed_form(transport_params(wl, math.pi))
-    num = transport_numeric(wl, math.pi, 4096)
+    num = transport_from_connection(wl, math.pi, 4096)
     assert np.abs(num - closed).max() <= 1e-10
 
 
 def test_numeric_partner_particle_matches_closed_form():
     wl = ref_worldline(direction=-1)
     closed = transport_closed_form(transport_params(wl, math.pi))
-    num = transport_numeric(wl, math.pi, 512)
+    num = transport_from_connection(wl, math.pi, 512)
     assert np.abs(num - closed).max() <= 1e-10
 
 
 def test_numeric_full_loop_holonomy():
     wl = CircularWorldline(StringGeometry(1.0), rho=1.0, xi=0.0)
-    op = transport_numeric(wl, 2 * math.pi, 4096)
+    op = transport_from_connection(wl, 2 * math.pi, 4096)
     assert np.allclose(op, -IDENTITY2, atol=1e-10)
 
 
@@ -322,10 +318,7 @@ def variable_mode_worldline():
 
 
 def test_numeric_convergence_is_second_order():
-    wl = variable_mode_worldline()
-    Phi = math.pi
-    ref = transport_numeric(wl, Phi, 32768)
-    errors = [np.abs(transport_numeric(wl, Phi, n) - ref).max() for n in (16, 32, 64, 128, 256, 512, 1024)]
+    errors = verify.convergence_errors()
     assert errors[0] > 1e-6  # the perturbation actually bites
     for e_n, e_2n in zip(errors, errors[1:]):
         if e_2n <= 1e-10:
@@ -343,7 +336,7 @@ def test_variable_mode_requires_path_ordering():
 
 def test_transport_composition_path_ordered():
     wl = variable_mode_worldline()
-    full = transport_numeric(wl, math.pi, 1024)
+    full = transport_from_connection(wl, math.pi, 1024)
     first = transport_from_connection(wl, math.pi / 2, 512)
     second = transport_from_connection(wl, math.pi / 2, 512, phi0=math.pi / 2)
     assert np.abs(second @ first - full).max() <= 1e-12
@@ -362,7 +355,7 @@ def test_closed_form_composition_fixed_coefficients():
 
 def test_dirac_transport_reduces_to_right_block():
     wl = ref_worldline()
-    dirac_op = transport_numeric(wl, math.pi, 2048, representation="dirac")
+    dirac_op = transport_from_connection(wl, math.pi, 2048, representation="dirac")
     block = chiral_block(dirac_op, "right")
     closed = transport_closed_form(transport_params(wl, math.pi))
     assert np.abs(block - closed).max() <= 1e-10
@@ -376,7 +369,7 @@ def test_chiral_blocks_of_identity():
 
 def test_rotation_only_transport_has_equal_unitary_blocks():
     wl = ref_worldline(sh=0.0)
-    dirac_op = transport_numeric(wl, math.pi, 256, representation="dirac")
+    dirac_op = transport_from_connection(wl, math.pi, 256, representation="dirac")
     left = chiral_block(dirac_op, "left")
     right = chiral_block(dirac_op, "right")
     assert np.allclose(left, right, atol=1e-12)
@@ -392,7 +385,7 @@ def test_chiral_block_rejects_off_block_mass():
 
 def test_dirac_determinant():
     wl = ref_worldline()
-    dirac_op = transport_numeric(wl, math.pi, 512, representation="dirac")
+    dirac_op = transport_from_connection(wl, math.pi, 512, representation="dirac")
     assert abs(np.linalg.det(dirac_op) - 1.0) <= 1e-9
 
 
@@ -403,7 +396,7 @@ def test_transport_independent_of_unit_choice():
     ops = []
     for c in (1.0, 2.0):
         wl = CircularWorldline(StringGeometry(0.5, c=c), rho=2.0, xi=XI_REF)
-        ops.append(transport_numeric(wl, math.pi, 128))
+        ops.append(transport_from_connection(wl, math.pi, 128))
         params = transport_params(wl, math.pi)
         assert params.theta == pytest.approx(0.625 * math.pi, abs=1e-12)
     assert np.abs(ops[0] - ops[1]).max() <= 1e-12
