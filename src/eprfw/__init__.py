@@ -11,7 +11,8 @@ Library layers, bottom up:
   closed-form transport operator, the path-ordered product engine shared by
   spin and frame-vector transport, and the Wigner precession angle;
 * :mod:`eprfw.epr` - Bell basis, pair evolution, CHSH violation,
-  degradation, and restoration by rotated measurement axes;
+  degradation, and restoration by rotated measurement axes, per point and
+  over arrays of sweep points;
 * :mod:`eprfw.verify` - the self-verification battery behind
   ``eprfw verify``;
 * :mod:`eprfw.cli` - the ``eprfw`` command-line front end.
@@ -57,6 +58,7 @@ from .transport import (
 )
 from .epr import (
     BellReport,
+    bell_columns,
     bell_decomposition,
     bell_report,
     bell_states,

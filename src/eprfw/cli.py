@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -147,19 +148,24 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def sweep_points(cfg: RunConfig) -> list[RunConfig]:
-    """Expand the sweep into per-point configs, in deterministic input order."""
-    if cfg.sweep is None:
-        return [cfg]
-    var, start, stop, count = cfg.sweep
-    values = np.linspace(start, stop, count)
-    points = []
-    for value in values:
-        if var == "xi":
-            points.append(replace(cfg, xi=float(value), beta=None))
-        else:
-            points.append(replace(cfg, **{var: float(value)}))
-    return points
+def sweep_points(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (alpha, xi, Phi) of every sweep point, as three broadcast arrays in input order.
+
+    Only the first and last points are built as domain objects.  Each rule of
+    the domain bounds an interval of alpha, xi or Phi, and |eta1 + eta2| =
+    alpha Phi cosh(xi) e^xi, which bounds |eta1 - eta2|, grows with each of
+    them, so a linear sweep lies in the domain exactly when its ends do.
+    """
+    values = {"alpha": cfg.alpha, "xi": cfg.resolved_xi(), "phi": cfg.phi}
+    if cfg.sweep is not None:
+        var, start, stop, count = cfg.sweep
+        values[var] = np.linspace(start, stop, count)
+    points = np.broadcast_arrays(*np.atleast_1d(values["alpha"], values["xi"], values["phi"]))
+    for end in (0, -1):
+        alpha, xi, Phi = (float(v[end]) for v in points)
+        wl = CircularWorldline(StringGeometry(alpha, c=cfg.c), rho=cfg.rho, xi=xi)
+        transport.transport_params(wl, Phi)  # raises outside the domain
+    return tuple(points)
 
 
 def _write_text(cfg: RunConfig, text: str) -> None:
@@ -248,30 +254,17 @@ def cmd_transport(cfg: RunConfig) -> int:
 
 
 def bell_rows(cfg: RunConfig) -> list[dict]:
-    rows = []
-    for point in sweep_points(cfg):
-        report = epr.bell_report(point.alpha, point.resolved_xi(), point.phi, c=point.c)
-        rows.append(
-            {
-                "alpha": report.alpha,
-                "xi": report.xi,
-                "Phi": report.Phi,
-                "theta": report.theta,
-                "norm": report.norm,
-                "chsh_direct": report.chsh_direct,
-                "chsh_closed": report.chsh_closed,
-                "chsh_restored": report.chsh_restored,
-                "restored_residual": report.restored_residual,
-            }
-        )
-    return rows
+    """One row per sweep point, evaluated as arrays by :func:`eprfw.epr.bell_columns`."""
+    columns = epr.bell_columns(*sweep_points(cfg))
+    return [dict(zip(BELL_COLUMNS, row)) for row in zip(*(columns[col].tolist() for col in BELL_COLUMNS))]
 
 
 def render_bell(cfg: RunConfig, rows: list[dict]) -> str:
     if cfg.format == "csv":
-        lines = [",".join(BELL_COLUMNS)]
-        lines += [",".join(_fmt(row[col]) for col in BELL_COLUMNS) for row in rows]
-        return "\n".join(lines) + "\n"
+        # "%.17g" formats a float exactly as _fmt does
+        line = ",".join(["%.17g"] * len(BELL_COLUMNS))
+        values = itemgetter(*BELL_COLUMNS)
+        return "\n".join([",".join(BELL_COLUMNS)] + [line % values(row) for row in rows]) + "\n"
     payload = {
         "version": __version__,
         "config": _config_echo(cfg),

@@ -46,6 +46,7 @@ __all__ = [
     "restored_settings",
     "chsh_restored",
     "bell_report",
+    "bell_columns",
     "same_ray",
 ]
 
@@ -53,6 +54,8 @@ __all__ = [
 # 2-axis (the observer at -Phi by -theta).  +1 is the assignment that returns
 # the CHSH value to 2*sqrt(2) at xi = 0; the selection test freezes it here.
 RESTORATION_ASSIGNMENT = +1
+
+TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
 
 class BellBasis(NamedTuple):
@@ -106,10 +109,18 @@ def final_state_closed_form(alpha: float, xi: float, Phi: float, branch: int = +
     if branch not in (+1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
     theta = wigner_angle(alpha, xi, Phi)
+    amplitudes = _closed_form_amplitudes(math.cos(theta), math.sin(theta), math.sinh(xi), math.cosh(xi), branch)
+    return amplitudes.astype(complex)
+
+
+def _closed_form_amplitudes(cos_theta, sin_theta, sinh_xi, cosh_xi, branch: int = +1) -> np.ndarray:
+    """Real amplitudes ``(..., 4)`` of :func:`final_state_closed_form` from its trigonometric factors.
+
+    The factors broadcast; scalars give one amplitude vector.
+    """
     basis = bell_states()
-    return math.cos(theta) * basis.psi_minus + branch * math.sin(theta) * (
-        math.sinh(xi) * basis.phi_minus + math.cosh(xi) * basis.phi_plus
-    )
+    c, s, sh, ch = (np.asarray(v)[..., None] for v in (cos_theta, sin_theta, sinh_xi, cosh_xi))
+    return c * basis.psi_minus.real + branch * s * (sh * basis.phi_minus.real + ch * basis.phi_plus.real)
 
 
 def state_norm(s: np.ndarray) -> float:
@@ -177,11 +188,13 @@ def chsh_closed_form(theta: float, xi: float) -> float:
     state norm for xi > 0, since this closed form does not normalize).
     Reading the ratio against the signed gamma^2 instead would flip the term
     and disagree with the direct computation already at xi = 0.
+
+    ``theta`` and ``xi`` may be arrays that broadcast.
     """
-    return math.sqrt(2.0) * abs(
-        -math.cos(2.0 * theta)
-        - math.cos(theta) ** 2
-        + math.cosh(2.0 * xi) * math.sin(theta) ** 2
+    return math.sqrt(2.0) * np.abs(
+        -np.cos(2.0 * theta)
+        - np.cos(theta) ** 2
+        + np.cosh(2.0 * xi) * np.sin(theta) ** 2
     )
 
 
@@ -279,8 +292,84 @@ def bell_report(
         theta=theta,
         norm=state_norm(state),
         chsh_direct=chsh_direct(state),
-        chsh_closed=chsh_closed_form(theta, xi),
+        chsh_closed=float(chsh_closed_form(theta, xi)),
         chsh_restored=restored,
-        restored_residual=abs(restored - 2.0 * math.sqrt(2.0)),
+        restored_residual=abs(restored - TWO_SQRT2),
         bell_coefficients=(coeffs[1], coeffs[0], coeffs[3], coeffs[2]),
     )
+
+
+# sigma^i (x) sigma^j for i, j in (1, 3), over the product basis: the real
+# correlation operators of the 1-3 plane, indexed [p, (i, j, q)] so that one
+# matrix product with the stacked states applies all four.
+_PLANE_PAULIS = np.stack([SIGMA1.real, SIGMA3.real])
+_PLANE_CORRELATORS = np.einsum("iab,jcd->acijbd", _PLANE_PAULIS, _PLANE_PAULIS).reshape(4, 16)
+# The 1-3 plane components (tr(op sigma^i) / 2) of the settings a, a', b, b'.
+_PLANE_SETTINGS = np.einsum("kab,iba->ki", np.array(chsh_settings()), _PLANE_PAULIS).real / 2.0
+
+
+def _turned(v, cos, sin) -> np.ndarray:
+    """1-3 plane components (x, z) of a setting conjugated by roty(angle), given cos and sin of the angle.
+
+    roty(angle) sigma^1 roty(angle)^H = cos sigma^1 - sin sigma^3 and
+    roty(angle) sigma^3 roty(angle)^H = cos sigma^3 + sin sigma^1.
+    """
+    x, z = v
+    return np.stack([x * cos + z * sin, z * cos - x * sin], axis=-1)
+
+
+def _chsh_of_correlations(t, a, a_prime, b, b_prime) -> np.ndarray:
+    """|E(a, b) + E(a', b) + E(a, b') - E(a', b')| with E(u, v) = u . t v.
+
+    ``t[..., i, j]`` are correlation matrices over the 1-3 plane and the
+    settings their 1-3 plane components, ``(2,)`` or stacked like ``t``.
+    """
+    def e(u, v):
+        return np.einsum("...i,...ij,...j->...", u, t, v)
+
+    return np.abs(e(a, b + b_prime) + e(a_prime, b - b_prime))
+
+
+def bell_columns(alpha, xi, Phi) -> dict[str, np.ndarray]:
+    """The fields of :func:`bell_report`, less the Bell coefficients, over broadcast arrays.
+
+    Returns one array per field name, with one entry per point of the
+    broadcast of ``alpha``, ``xi`` and ``Phi``.  The definitions are those of
+    :func:`bell_report`, the per-point oracle: the Wigner angle; the
+    amplitudes of :func:`final_state_closed_form`; the correlation matrix
+    T_ij = <sigma^i (x) sigma^j> / norm^2 over the 1-3 plane, where both the
+    fixed settings and the settings turned by +-theta lie; and the paper's
+    unnormalized :func:`chsh_closed_form`.  The restored settings use
+    :data:`RESTORATION_ASSIGNMENT`.
+
+    The inputs must lie in the domain that :func:`bell_report` enforces
+    point by point; the caller validates them.  Raises ``ValueError`` if an
+    output is not finite.
+    """
+    alpha, xi, Phi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha, xi, Phi)))
+    theta = wigner_angle(alpha, xi, Phi)
+    state = _closed_form_amplitudes(np.cos(theta), np.sin(theta), np.sinh(xi), np.cosh(xi))
+    norm2 = np.einsum("...p,...p->...", state, state)
+    applied = (state @ _PLANE_CORRELATORS).reshape(state.shape[:-1] + (2, 2, 4))
+    t = np.einsum("...ijq,...q->...ij", applied, state) / norm2[..., None, None]
+    # the observer at +Phi turns by RESTORATION_ASSIGNMENT * theta, the one at -Phi by the opposite angle
+    cos, sin = np.cos(RESTORATION_ASSIGNMENT * theta), np.sin(RESTORATION_ASSIGNMENT * theta)
+    a, a_prime, b, b_prime = _PLANE_SETTINGS
+    restored = _chsh_of_correlations(
+        t, _turned(a, cos, sin), _turned(a_prime, cos, sin), _turned(b, cos, -sin), _turned(b_prime, cos, -sin)
+    )
+    columns = {
+        "alpha": alpha,
+        "xi": xi,
+        "Phi": Phi,
+        "theta": theta,
+        "norm": np.sqrt(norm2),
+        "chsh_direct": _chsh_of_correlations(t, *_PLANE_SETTINGS),
+        "chsh_closed": chsh_closed_form(theta, xi),
+        "chsh_restored": restored,
+        "restored_residual": np.abs(restored - TWO_SQRT2),
+    }
+    for name, values in columns.items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"bell column {name} is not finite at some point; the input leaves the domain")
+    return columns

@@ -182,12 +182,19 @@ def christoffel_at(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:
     return gamma
 
 
+def _fd_step(pt: SpacetimePoint, h: float) -> float:
+    """Difference step ``h``, capped at rho / 2 so that no stencil point crosses the axis."""
+    return min(h, 0.5 * pt.rho)
+
+
 def christoffel_fd(geom: StringGeometry, pt: SpacetimePoint, h: float = 1e-5) -> np.ndarray:
     """Christoffel symbols from central differences of the metric.
 
     Independent of :func:`christoffel_at`; step h = 1e-5 balances truncation
-    against round-off for first derivatives in double precision.
+    against round-off for first derivatives in double precision.  Within
+    2h of the axis the step is rho / 2.
     """
+    h = _fd_step(pt, h)
     dg = np.zeros((4, 4, 4))  # dg[sig, mu, nu] = d_sig g_{mu nu}
     for sig in range(4):
         gp = metric_at(geom, pt.shifted(sig, +h))
@@ -271,7 +278,9 @@ def riemann_at(geom: StringGeometry, pt: SpacetimePoint, h: float = 1e-4) -> np.
 
     Vanishes off the axis (all curvature is concentrated at rho = 0); the
     larger step h = 1e-4 suits the second-derivative round-off balance.
+    Within 2h of the axis the step is rho / 2.
     """
+    h = _fd_step(pt, h)
     dgam = np.zeros((4, 4, 4, 4))  # dgam[sig, lam, mu, nu] = d_sig Gamma^lam_{mu nu}
     for sig in range(4):
         gp = christoffel_at(geom, pt.shifted(sig, +h))

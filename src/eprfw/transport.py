@@ -249,14 +249,18 @@ class TransportParams:
     theta: float
 
 
+def _check_azimuth(Phi: float) -> None:
+    if not 0.0 <= Phi < math.inf:
+        raise ValueError(f"Phi must be finite and non-negative, got {Phi}")
+
+
 def transport_params(wl: CircularWorldline, Phi: float) -> TransportParams:
     """Transport parameters for sweeping a finite azimuth ``Phi`` >= 0 along ``wl``.
 
     Raises ``ValueError`` when the entries eta1 +- eta2 of Gamma overflow,
     which large ``Phi`` at large rapidity can make happen.
     """
-    if not 0.0 <= Phi < math.inf:
-        raise ValueError(f"Phi must be finite and non-negative, got {Phi}")
+    _check_azimuth(Phi)
     alpha = wl.geom.alpha
     ch, sh = math.cosh(wl.xi), math.sinh(wl.xi)
     signed = wl.direction * alpha * Phi
@@ -264,7 +268,7 @@ def transport_params(wl: CircularWorldline, Phi: float) -> TransportParams:
     eta2 = -signed * ch * ch
     if not (math.isfinite(eta1 + eta2) and math.isfinite(eta1 - eta2)):
         raise ValueError(f"transport parameters overflow at alpha={alpha}, xi={wl.xi}, Phi={Phi}")
-    theta = wigner_angle(alpha, wl.xi, Phi)
+    theta = float(wigner_angle(alpha, wl.xi, Phi))
     return TransportParams(eta1=eta1, eta2=eta2, gamma=1j * theta, theta=theta)
 
 
@@ -317,8 +321,7 @@ def transport_from_connection(
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if Phi < 0.0:
-        raise ValueError(f"Phi must be non-negative, got {Phi}")
+    _check_azimuth(Phi)
     if connection_fn is None:
         connection_fn = total_connection_at
     geom = wl.geom
@@ -369,9 +372,9 @@ def chiral_block(d: np.ndarray, which: str = "right", tol: float = 1e-8) -> np.n
     raise ValueError(f"which must be 'left' or 'right', got {which!r}")
 
 
-def wigner_angle(alpha: float, xi: float, Phi: float) -> float:
-    """Spin precession angle theta = alpha * Phi * cosh(xi)."""
-    return alpha * Phi * math.cosh(xi)
+def wigner_angle(alpha, xi, Phi):
+    """Spin precession angle theta = alpha * Phi * cosh(xi); the arguments may be arrays that broadcast."""
+    return alpha * Phi * np.cosh(xi)
 
 
 def rotation_angle(op: np.ndarray) -> float:

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import epr, geometry, kinematics, transport
+from .epr import TWO_SQRT2
 from .geometry import (
     MINKOWSKI,
     PhiModulatedGeometry,
@@ -35,8 +36,6 @@ ALPHAS = (0.25, 0.5, 0.9, 1.0)
 RHOS = (0.5, 1.0, 2.0)
 SINH_XIS = (0.0, 0.75, 2.0)
 PHIS = (math.pi / 4, math.pi / 2, math.pi, 2 * math.pi)
-
-TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,13 @@
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +22,14 @@ from eprfw.cli import (
     EXIT_OK,
     EXIT_USAGE,
     SWEEP_VARS,
+    RunConfig,
+    _fmt,
+    bell_rows,
+    build_config,
+    build_parser,
     main,
     read_config_file,
+    render_bell,
 )
 
 XI_REF = math.asinh(0.75)
@@ -81,6 +89,61 @@ def test_bell_csv_round_trips_full_precision(tmp_path):
         assert abs(row["chsh_direct"] - report.chsh_direct) <= 1e-12
         assert abs(row["chsh_closed"] - report.chsh_closed) <= 1e-12
         assert abs(row["chsh_restored"] - report.chsh_restored) <= 1e-12
+
+
+def bell_config(argv):
+    return build_config(build_parser().parse_args(["bell", *argv]))
+
+
+def expected_inputs(cfg):
+    """(alpha, xi, Phi) of each sweep point, expanded one point at a time."""
+    point = {"alpha": cfg.alpha, "xi": cfg.resolved_xi(), "phi": cfg.phi}
+    if cfg.sweep is None:
+        return [(point["alpha"], point["xi"], point["phi"])]
+    var, start, stop, count = cfg.sweep
+    points = [dict(point, **{var: float(value)}) for value in np.linspace(start, stop, count)]
+    return [(p["alpha"], p["xi"], p["phi"]) for p in points]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 1000-point sweeps with xi <= 3 and theta up to alpha Phi cosh(3) = 60.4
+        ["--alpha", "1", "--xi", "3", "--phi", "6", "--sweep", "alpha:0.01:1:1000"],
+        ["--alpha", "1", "--phi", "6", "--sweep", "xi:0:3:1000"],
+        ["--alpha", "1", "--xi", "3", "--sweep", "phi:0:6:1000"],
+        ["--sweep", "alpha:0.5:0.5:1"],
+        ["--phi", "0.8"],
+        ["--beta", "0.6", "--sweep", "phi:0:3:7"],
+        ["--beta", "0.6", "--sweep", "xi:0.1:2:5"],
+        ["--xi", "0.4", "--sweep", "phi:0:270:7", "--degrees"],
+    ],
+)
+def test_bell_rows_match_per_point_reports(argv):
+    cfg = bell_config(argv)
+    rows = bell_rows(cfg)
+    assert [(row["alpha"], row["xi"], row["Phi"]) for row in rows] == expected_inputs(cfg)
+    for row in rows:
+        assert list(row) == list(BELL_COLUMNS)
+        report = epr.bell_report(row["alpha"], row["xi"], row["Phi"])
+        for col in BELL_COLUMNS:
+            expected = getattr(report, col)
+            tol = 1e-12 * expected if col == "norm" else 1e-12
+            assert abs(row[col] - expected) <= tol, (col, row)
+
+
+def test_bell_json_rows_are_bell_rows(tmp_path):
+    argv = ["--alpha", "0.7", "--xi", "1.2", "--sweep", "phi:0:5:9"]
+    out = tmp_path / "bell.json"
+    assert run(["bell", *argv, "--format", "json", "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["rows"] == bell_rows(bell_config(argv))
+
+
+def test_bell_csv_rows_format_each_value_as_fmt():
+    values = (0.0, -0.0, 5e-324, 1e300, 0.1, 2.0 / 3.0, math.pi * 1e-17, 123456789.123, -2.5)
+    rows = [dict(zip(BELL_COLUMNS, values[k:] + values[:k])) for k in range(len(values))]
+    lines = render_bell(RunConfig(), rows).splitlines()
+    assert lines[1:] == [",".join(_fmt(row[col]) for col in BELL_COLUMNS) for row in rows]
 
 
 def test_bell_byte_identical_reruns(tmp_path):
@@ -197,6 +260,12 @@ def test_degrees_applies_to_phi_sweep_bounds(capsys):
         ["geometry", "--c", "1e300", "--xi", "1"],
         ["transport", "--xi", "4.946743251852692e-168", "--c", "4.946743251852692e-168"],
         ["verify", "--alpha", "-1"],
+        # sweeps whose end leaves the domain
+        ["bell", "--sweep", "alpha:0:1:5"],
+        ["bell", "--sweep", "alpha:0.5:1.5:3"],
+        ["bell", "--sweep", "xi:0:400:3"],
+        ["bell", "--sweep", "phi:-1:1:3"],
+        ["bell", "--alpha", "1", "--xi", "182.7", "--sweep", "phi:0:1e150:3"],
     ],
 )
 def test_usage_errors(argv, capsys):
@@ -261,6 +330,23 @@ def test_geometry_dump_contains_connection_tables(capsys):
     assert "Omega_phi^1_3 = -0.78125" in out
     assert "omega_phi^1_3 = -0.5" in out
     assert "tau_t^0_1 = 0.28125" in out
+
+
+def test_geometry_near_axis_prints_finite_values(capsys):
+    # within 2e-5 of the axis the finite-difference stencil shrinks to rho / 2
+    assert run(["geometry", "--rho", "5e-6"]) == EXIT_OK
+    out = capsys.readouterr().out
+    numbers = []
+    for token in re.split(r"[\s=|]+", out):
+        try:
+            numbers.append(float(token))
+        except ValueError:
+            pass
+    assert numbers and all(math.isfinite(x) for x in numbers)
+    for line in out.splitlines():
+        if " = " in line and "|" in line:  # closed form | finite-difference oracle
+            closed, oracle = (float(part.split()[-1]) for part in line.split("|"))
+            assert oracle == pytest.approx(closed, rel=1e-6)
 
 
 def test_geometry_rest_frame_has_zero_boost_terms(capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from eprfw.epr import (
     RESTORATION_ASSIGNMENT,
+    bell_columns,
     bell_decomposition,
     bell_report,
     bell_states,
@@ -377,3 +378,53 @@ def test_boosted_pair_without_precession_keeps_maximal_violation():
     assert report.theta == 0.0
     assert report.chsh_direct == pytest.approx(TWO_SQRT2, abs=1e-12)
     assert report.chsh_closed == pytest.approx(TWO_SQRT2, abs=1e-12)
+
+
+# ------------------------------------------------------------ array kernel
+
+GRID_XIS = tuple(math.asinh(sh) for sh in SINH_XIS)
+
+
+def verify_grid_columns():
+    """bell_columns over ALPHAS x SINH_XIS x PHIS, one broadcast call."""
+    alpha = np.array(ALPHAS)[:, None, None]
+    xi = np.array(GRID_XIS)[None, :, None]
+    return bell_columns(alpha, xi, np.array(PHIS))
+
+
+def test_bell_columns_match_bell_report_on_verify_grid():
+    columns = verify_grid_columns()
+    assert all(values.shape == (len(ALPHAS), len(SINH_XIS), len(PHIS)) for values in columns.values())
+    for i, alpha in enumerate(ALPHAS):
+        for j, xi in enumerate(GRID_XIS):
+            for k, Phi in enumerate(PHIS):
+                report = bell_report(alpha, xi, Phi)
+                for name, values in columns.items():
+                    expected = getattr(report, name)
+                    tol = 1e-12 * expected if name == "norm" else 1e-12
+                    assert abs(values[i, j, k] - expected) <= tol, (name, alpha, xi, Phi)
+
+
+def test_bell_columns_reject_non_finite_output():
+    # cosh(2 xi) overflows beyond XI_MAX; the kernel's callers validate the
+    # domain, and the finite-output check is the backstop
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        bell_columns(0.5, [0.3, 400.0], 1.0)
+
+
+def test_direct_chsh_is_normalized_closed_form_on_verify_grid():
+    # chsh_direct = chsh_closed / norm^2 with norm^2 = cos^2 theta + sin^2 theta cosh 2 xi,
+    # for the per-point report and the array kernel alike
+    columns = verify_grid_columns()
+    for i, alpha in enumerate(ALPHAS):
+        for j, xi in enumerate(GRID_XIS):
+            for k, Phi in enumerate(PHIS):
+                report = bell_report(alpha, xi, Phi)
+                row = {name: values[i, j, k] for name, values in columns.items()}
+                for theta, norm, direct, closed in (
+                    (report.theta, report.norm, report.chsh_direct, report.chsh_closed),
+                    (row["theta"], row["norm"], row["chsh_direct"], row["chsh_closed"]),
+                ):
+                    norm2 = math.cos(theta) ** 2 + math.sin(theta) ** 2 * math.cosh(2.0 * xi)
+                    assert abs(norm**2 - norm2) <= 1e-12
+                    assert abs(direct - closed / norm**2) <= 1e-12

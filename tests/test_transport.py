@@ -292,6 +292,12 @@ def test_numeric_rejects_zero_steps():
         transport_from_connection(ref_worldline(), math.pi, 0)
 
 
+@pytest.mark.parametrize("Phi", [math.nan, math.inf, -math.inf])
+def test_numeric_rejects_non_finite_azimuth(Phi):
+    with pytest.raises(ValueError, match="Phi must be finite and non-negative"):
+        transport_from_connection(ref_worldline(), Phi, 8)
+
+
 def test_numeric_fixed_coefficients_matches_closed_form():
     wl = ref_worldline()
     closed = transport_closed_form(transport_params(wl, math.pi))
