@@ -88,9 +88,17 @@ def initial_state() -> np.ndarray:
     return bell_states().psi_minus.copy()
 
 
+def _kron2(a, b) -> np.ndarray:
+    """Kronecker product a (x) b of two 2x2 matrices, as one broadcast outer product.
+
+    Forms the same products as ``np.kron`` at a fraction of its call overhead.
+    """
+    return (np.asarray(a)[:, None, :, None] * np.asarray(b)[None, :, None, :]).reshape(4, 4)
+
+
 def evolve_pair(initial: np.ndarray, xi_plus: np.ndarray, xi_minus: np.ndarray) -> np.ndarray:
     """Apply per-particle transport operators: (xi_plus (x) xi_minus) |initial>."""
-    return np.kron(np.asarray(xi_plus), np.asarray(xi_minus)) @ np.asarray(initial, dtype=complex)
+    return _kron2(xi_plus, xi_minus) @ np.asarray(initial, dtype=complex)
 
 
 def final_state_closed_form(alpha: float, xi: float, Phi: float, branch: int = +1) -> np.ndarray:
@@ -157,7 +165,7 @@ def correlator(s: np.ndarray, A: np.ndarray, B: np.ndarray) -> float:
     n2 = np.vdot(s, s).real
     if n2 <= 0.0 or not np.isfinite(n2):
         raise ValueError("correlator of a zero-norm state is undefined")
-    val = np.vdot(s, np.kron(A, B) @ s) / n2
+    val = np.vdot(s, _kron2(A, B) @ s) / n2
     return float(val.real)
 
 

@@ -41,6 +41,12 @@ class CircularWorldline:
 
     def __post_init__(self):
         self.point()  # rejects a radius off the domain of SpacetimePoint
+        # the connection along the orbit carries 1/(alpha rho^2); it must not overflow
+        coefficient = self.geom.alpha * self.rho * self.rho
+        if not (coefficient > 0.0 and math.isfinite(1.0 / coefficient)):
+            raise ValueError(
+                f"connection coefficient 1/(alpha rho^2) is not finite at alpha={self.geom.alpha}, rho={self.rho}"
+            )
         if not 0.0 <= self.xi <= XI_MAX:
             raise ValueError(f"rapidity xi must lie in [0, {XI_MAX:g}], got {self.xi}")
         if self.direction not in (+1, -1):

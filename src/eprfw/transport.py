@@ -39,7 +39,13 @@ multiplies the steps by a pairwise tree (later steps on the left), then folds
 the chunk products in path order.  The closed form holds because every
 generator is block diagonal in traceless 2x2 blocks: one block for spin-half,
 the two chiral blocks for Dirac.  The tree product follows Blelloch, "Prefix
-sums and their applications", CMU-CS-90-190 (1990).
+sums and their applications", CMU-CS-90-190 (1990).  A generator that comes
+back with no step axis does not vary along phi (the physical string geometry
+on a circular orbit): it holds on the whole path, it is evaluated once, and
+the product of its N equal steps is a power, formed by repeated squaring in
+floor(log2 N) squarings and one product per set bit of N (cf. Higham, "The
+scaling and squaring method for the matrix exponential revisited", SIAM J.
+Matrix Anal. Appl. 26 (2005) 1179).
 """
 
 from __future__ import annotations
@@ -187,19 +193,39 @@ def _expm_traceless(a: np.ndarray) -> np.ndarray:
     return out if np.iscomplexobj(a) else out.real
 
 
+def _pair_product(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """``later @ earlier`` for 2x2 matrices stacked with their indices in front, ``x[i, j, ...]``."""
+    return later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
+
+
+def _power(x: np.ndarray, n: int) -> np.ndarray:
+    """``n``-th power (``n`` >= 1) of 2x2 matrices ``x[i, j, ...]`` by repeated squaring."""
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else _pair_product(x, out)
+        n >>= 1
+        if not n:
+            return out
+        x = _pair_product(x, x)
+
+
 def _tree_product(mats: np.ndarray) -> np.ndarray:
     """Ordered product ``mats[-1] @ ... @ mats[0]`` of a block stack ``(m, B, 2, 2)``.
 
     Each level multiplies neighbouring pairs, later on the left, carrying an
     odd one out.  The matrix indices are moved in front, so that each level is
     three elementwise operations over the whole stack (numpy's matmul spends
-    one BLAS call on every 2x2 product).
+    one BLAS call on every 2x2 product).  A stack of one matrix repeated (a
+    zero stride along the steps) is the ``m``-th power of that matrix; each
+    level of the tree is then computed once, by repeated squaring.
     """
     x = mats.transpose(2, 3, 1, 0)  # x[i, j, b, k] = mats[k, b, i, j]
+    if x.strides[-1] == 0:
+        return _power(x[..., 0], x.shape[-1]).transpose(2, 0, 1)
     while x.shape[-1] > 1:
         n = x.shape[-1]
-        later, earlier = x[..., 1::2], x[..., : n - 1 : 2]
-        paired = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
+        paired = _pair_product(x[..., 1::2], x[..., : n - 1 : 2])
         x = np.concatenate([paired, x[..., -1:]], axis=-1) if n % 2 else paired
     return x[..., 0].transpose(2, 0, 1)
 
@@ -212,11 +238,16 @@ def _step_exponentials(generator, phi0: float, dphi: float, steps: int, blocks):
     and returns the generators per unit azimuth, ``(..., n, n)`` broadcasting
     to ``(len(phi), n, n)`` and block diagonal in the index pairs ``blocks``.
     Each chunk is an array ``(len(phi), B, 2, 2)`` of the step exponentials'
-    diagonal blocks.
+    diagonal blocks.  A generator with no step axis does not vary along phi:
+    it holds on the rest of the path, so the last chunk is a zero-stride view
+    of every remaining step and the generator is not called again.
     """
     for start in range(0, steps, _CHUNK):
         phi = phi0 + (np.arange(start, min(start + _CHUNK, steps)) + 0.5) * dphi
         gen = _split_blocks(generator(phi) * dphi, blocks)
+        if gen.ndim == 3:  # (B, 2, 2): constant along phi
+            yield np.broadcast_to(_expm_traceless(gen), (steps - start,) + gen.shape)
+            return
         yield np.broadcast_to(_expm_traceless(gen), phi.shape + gen.shape[-3:])
 
 
@@ -224,12 +255,15 @@ def _ordered_product(chunks, blocks, n: int) -> np.ndarray:
     """The ``(n, n)`` product of every step, later steps on the left.
 
     Each chunk of :func:`_step_exponentials` is reduced by a pairwise tree;
-    the chunk products are then folded in path order.
+    the chunk products are then folded in path order.  Raises ``ValueError``
+    if the product is not finite.
     """
     op = None
     for exps in chunks:
         part = _tree_product(exps)
         op = part if op is None else part @ op
+    if not np.isfinite(op).all():
+        raise ValueError("path-ordered product is not finite; the connection overflows on this path")
     return _join_blocks(op, blocks, n)
 
 
@@ -313,8 +347,11 @@ def transport_from_connection(
     steps with a point whose ``phi`` is the array of the chunk's M midpoint
     azimuths, and must return the connection ``X[..., mu, a, b]`` as an
     array that broadcasts to ``(M, 4, 4, 4)``; a connection that does not
-    vary along phi may return a single ``(4, 4, 4)`` array.  The connection
-    functions of :mod:`eprfw.geometry` all behave this way.
+    vary along phi may return a single ``(4, 4, 4)`` array.  Such an array
+    holds along the whole path: the hook is then called once, with the first
+    chunk's midpoints, and the product of the equal steps is a power.  The
+    connection functions of :mod:`eprfw.geometry` all behave this way.
+    Raises ``ValueError`` if the product is not finite.
 
     The azimuth is continued with its sign, so the partner particle
     (direction = -1) is transported toward -Phi; see the module docstring.

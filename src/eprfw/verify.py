@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import epr, geometry, kinematics, transport
 from .epr import TWO_SQRT2
@@ -225,6 +224,8 @@ def check_transport_determinant() -> CheckResult:
 
 
 def check_closed_form_vs_expm() -> CheckResult:
+    from scipy.linalg import expm  # the only use of scipy: load it for this oracle alone
+
     err = 0.0
     for params in _params_grid():
         xi_op = transport.transport_closed_form(params)

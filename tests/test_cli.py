@@ -259,6 +259,7 @@ def test_degrees_applies_to_phi_sweep_bounds(capsys):
         ["transport", "--rho", "1e300", "--xi", "1"],
         ["geometry", "--c", "1e300", "--xi", "1"],
         ["transport", "--xi", "4.946743251852692e-168", "--c", "4.946743251852692e-168"],
+        ["transport", "--rho", "1e-300", "--alpha", "1e-10"],
         ["verify", "--alpha", "-1"],
         # sweeps whose end leaves the domain
         ["bell", "--sweep", "alpha:0:1:5"],
@@ -394,6 +395,14 @@ def test_module_execution_round_trip(tmp_path):
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert out.read_text().startswith(",".join(BELL_COLUMNS))
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is only the expm oracle of one verify check, imported there
+    code = "import sys, eprfw; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(shutil.which("eprfw") is None, reason="console script not on PATH")

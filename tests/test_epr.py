@@ -27,6 +27,7 @@ from eprfw.epr import (
     same_ray,
     state_norm,
 )
+from eprfw.epr import _kron2
 from eprfw.geometry import StringGeometry
 from eprfw.kinematics import CircularWorldline
 from eprfw.transport import (
@@ -235,6 +236,13 @@ def test_correlator_reference_values():
     assert correlator(basis.phi_plus, SIGMA1, SIGMA1) == pytest.approx(1.0, abs=1e-12)
     state = evolved_state(0.5, 0.0, math.pi)  # phi+ up to sign
     assert correlator(state, SIGMA3, SIGMA3) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_kron2_equals_numpy_kron_exactly():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        a, b = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+        assert np.array_equal(_kron2(a, b), np.kron(a, b))
 
 
 def test_correlator_zero_norm_rejected():

@@ -38,6 +38,12 @@ def test_worldline_validation():
         CircularWorldline(geom, rho=1.0, xi=0.5, direction=2)
 
 
+@pytest.mark.parametrize("alpha, rho", [(1e-10, 1e-300), (1.0, 1e-160), (0.5, 5e-324)])
+def test_worldline_rejects_overflowing_connection_coefficient(alpha, rho):
+    with pytest.raises(ValueError, match="not finite"):
+        CircularWorldline(StringGeometry(alpha), rho=rho, xi=0.5)
+
+
 def test_four_velocity_at_rest():
     wl = CircularWorldline(StringGeometry(0.5), rho=2.0, xi=0.0)
     assert np.allclose(four_velocity(wl), [wl.geom.c, 0.0, 0.0, 0.0])

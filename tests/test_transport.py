@@ -32,7 +32,7 @@ from eprfw.transport import (
     transport_params,
     wigner_angle,
 )
-from eprfw.transport import _expm_traceless, _gamma_matrix, _split_blocks
+from eprfw.transport import _expm_traceless, _gamma_matrix, _split_blocks, _tree_product
 from eprfw.verify import ALPHAS, PHIS, SINH_XIS
 
 XI_REF = math.asinh(0.75)  # cosh = 1.25
@@ -531,6 +531,54 @@ def test_connection_hook_gets_chunks_of_midpoints():
     dphi = math.pi / steps
     assert np.array_equal(np.concatenate(seen), [(k + 0.5) * dphi for k in range(steps)])
     assert np.abs(op - transport_from_connection(wl, math.pi, steps)).max() == 0.0
+
+
+@pytest.mark.parametrize("steps", [1, 1024, 16384, 65536])
+def test_constant_connection_is_called_once(steps):
+    wl, seen = ref_worldline(), []
+
+    def recording(geom, pt, accel):
+        seen.append(np.array(pt.phi))
+        return total_connection_at(geom, pt, accel)
+
+    op = transport_from_connection(wl, math.pi, steps, connection_fn=recording)
+    assert len(seen) == 1
+    dphi = math.pi / steps
+    assert np.array_equal(seen[0], [(k + 0.5) * dphi for k in range(min(steps, transport._CHUNK))])
+    assert np.abs(op - transport_from_connection(wl, math.pi, steps)).max() == 0.0
+
+
+def per_step_connection(geom, pt, accel):
+    # the same constant connection with a step axis, which forces the pairwise tree
+    return np.broadcast_to(total_connection_at(geom, pt, accel), np.shape(pt.phi) + (4, 4, 4))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 1023, 1024, 1025, 4097, 16384, 16385])
+@pytest.mark.parametrize("xi", [0.0, XI_REF, 2.0])
+@pytest.mark.parametrize("direction", [+1, -1])
+@pytest.mark.parametrize("rep", ["spin-half", "dirac"])
+def test_power_of_constant_step_matches_tree(steps, xi, direction, rep):
+    wl = CircularWorldline(StringGeometry(0.5), rho=2.0, xi=xi, direction=direction)
+    power = transport_from_connection(wl, math.pi, steps, rep)
+    tree = transport_from_connection(wl, math.pi, steps, rep, connection_fn=per_step_connection)
+    assert np.abs(power - tree).max() <= 1e-12
+
+
+def test_power_is_repeated_squaring_of_the_step():
+    rng = np.random.default_rng(5)
+    step = _expm_traceless(random_traceless(rng, (2,), scale=0.01))
+    for n in (1, 2, 5, 64, 1000):
+        stack = np.broadcast_to(step, (n,) + step.shape)
+        expected = np.stack([np.linalg.matrix_power(block, n) for block in step])
+        assert np.abs(_tree_product(stack) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_non_finite_product_is_rejected():
+    def overflowing(geom, pt, accel):
+        return total_connection_at(geom, pt, accel) * 1e300
+
+    with pytest.raises(ValueError, match="not finite"):
+        transport_from_connection(ref_worldline(), math.pi, 16, connection_fn=overflowing)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
