@@ -76,8 +76,8 @@ class StringGeometry:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0.0 < self.c < math.inf:
-            raise ValueError(f"c must be finite and positive, got {self.c}")
+        if not (0.0 < self.c and 0.0 < self.c * self.c < math.inf):  # g_tt = -c^2
+            raise ValueError(f"c must be positive with c^2 a positive finite float, got c={self.c}")
 
     def alpha_at(self, phi):
         """Local deficit factor; constant for the physical string geometry.
@@ -209,11 +209,13 @@ def christoffel_fd(geom: StringGeometry, pt: SpacetimePoint, h: float = 1e-5) ->
     )
 
 
-def _frame_covariant_derivative(geom, pt, gamma, einv):
+def _frame_covariant_derivative(pt, gamma, einv):
     """cov[mu, nu, b] = d_mu e^nu_b + Gamma^nu_{mu sig} e^sig_b for this tetrad family."""
     # (Gamma^nu_{mu sig})[mu, nu, sig] @ einv[sig, b], per azimuth
     cov = np.swapaxes(gamma, -3, -2) @ einv[..., None, :, :]
-    cov[..., RHO, PHI, 3] -= 1.0 / (_alpha(geom, pt) * pt.rho**2)  # the only nonzero d_mu e^nu_b
+    # the only nonzero d_mu e^nu_b, d_rho (1/(alpha rho)) = -(1/rho) e^phi_3, formed from
+    # the operands of the closed-form Gamma^phi_{rho phi} e^phi_3 so that the two cancel exactly
+    cov[..., RHO, PHI, 3] -= (1.0 / pt.rho) * einv[..., PHI, 3]
     return cov
 
 
@@ -235,7 +237,7 @@ def spin_connection_at(
     if gamma is None:
         gamma = christoffel_at(geom, pt)
     tet = tetrad_at(geom, pt)
-    cov = _frame_covariant_derivative(geom, pt, gamma, tet.einv)
+    cov = _frame_covariant_derivative(pt, gamma, tet.einv)
     return tet.e[..., None, :, :] @ cov  # e^a_nu cov[mu, nu, b], per mu
 
 
@@ -303,29 +305,23 @@ def transport_frame_vector(
 
     Integrates dV^a/dphi = -omega_phi^a_b V^b over the arc [0, Phi] in
     ``steps`` midpoint sub-arcs with the path-ordered product engine of
-    :mod:`eprfw.transport`, and tracks the accumulated rotation angle in the
-    (1, 3) plane: the sum of the per-step rotation angles, each in (-pi, pi]
-    (unwrapped; steps must keep each increment below pi), or 0 when ``v``
-    has no (1, 3) part to rotate.  Returns the transported components and the
-    signed rotation angle.
+    :mod:`eprfw.transport`, and returns the transported components and the
+    signed rotation angle in the (1, 3) plane.  Every step rotates that plane
+    and such rotations commute, so the unwrapped angle is the (1, 3) entry of
+    the sum of the step generators, however far one step turns; it is 0 when
+    ``v`` has no (1, 3) part to rotate.
     """
-    from .transport import _ordered_product, _step_exponentials  # transport imports this module
+    from .transport import _path_ordered  # transport imports this module
 
     if steps < 1:
         raise ValueError("steps must be >= 1")
     v = np.asarray(v, dtype=float)
-    dphi = Phi / steps
 
     def generator(phi):
         return -spin_connection_at(geom, SpacetimePoint(rho=rho, phi=phi))[..., PHI, :, :]
 
-    chunks = list(_step_exponentials(generator, 0.0, dphi, steps, _FRAME_PLANES))
-    op = _ordered_product(chunks, _FRAME_PLANES, 4)
-    angle = 0.0
-    if v[1] or v[3]:
-        for exps in chunks:
-            rot = exps[:, 1]  # the (1, 3) block of every step
-            angle += float(np.arctan2(rot[:, 1, 0], rot[:, 0, 0]).sum())
+    op, total = _path_ordered(generator, 0.0, Phi / steps, steps, _FRAME_PLANES, 4)
+    angle = float(total[1, 1, 0]) if v[1] or v[3] else 0.0  # generator of leg 1 into leg 3
     return op @ v, angle
 
 

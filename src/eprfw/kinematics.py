@@ -47,6 +47,11 @@ class CircularWorldline:
             raise ValueError(
                 f"connection coefficient 1/(alpha rho^2) is not finite at alpha={self.geom.alpha}, rho={self.rho}"
             )
+        leg = self.geom.alpha * self.rho  # g_phiphi = (alpha rho)^2
+        if not 0.0 < leg * leg < math.inf:
+            raise ValueError(
+                f"rho is out of range: (alpha rho)^2 is not a positive finite float at alpha={self.geom.alpha}, rho={self.rho}"
+            )
         if not 0.0 <= self.xi <= XI_MAX:
             raise ValueError(f"rapidity xi must lie in [0, {XI_MAX:g}], got {self.xi}")
         if self.direction not in (+1, -1):

@@ -31,21 +31,24 @@ Sign conventions are load-bearing and pinned by tests, not by taste:
   would suggest) leaves a spurious psi+ component in the evolved pair state
   and is rejected by the pair-evolution test.
 
-The path-ordered product is one array engine, shared with the frame-vector
-transport of :mod:`eprfw.geometry`.  It takes the midpoint azimuths of the
-steps in chunks of ``_CHUNK``; per chunk it evaluates the generators in one
-call over the array of azimuths, exponentiates every step in closed form and
-multiplies the steps by a pairwise tree (later steps on the left), then folds
-the chunk products in path order.  The closed form holds because every
-generator is block diagonal in traceless 2x2 blocks: one block for spin-half,
-the two chiral blocks for Dirac.  The tree product follows Blelloch, "Prefix
-sums and their applications", CMU-CS-90-190 (1990).  A generator that comes
-back with no step axis does not vary along phi (the physical string geometry
-on a circular orbit): it holds on the whole path, it is evaluated once, and
-the product of its N equal steps is a power, formed by repeated squaring in
+The path-ordered product is one engine function, shared with the
+frame-vector transport of :mod:`eprfw.geometry`.  It takes the midpoint
+azimuths of the steps in chunks of ``_CHUNK`` and evaluates the generators in
+one call per chunk.  Each chunk is a stack of step generators and a repeat
+count.  A generator that varies along phi gives one step per azimuth,
+repeated once: every step is exponentiated in closed form and the steps are
+multiplied by a pairwise tree, later steps on the left (Blelloch, "Prefix
+sums and their applications", CMU-CS-90-190 (1990)).  A generator that comes
+back with no step axis does not vary along phi (the physical string
+geometry on a circular orbit): it is one step repeated over the rest of the
+path, evaluated once, and its product is formed by repeated squaring in
 floor(log2 N) squarings and one product per set bit of N (cf. Higham, "The
 scaling and squaring method for the matrix exponential revisited", SIAM J.
-Matrix Anal. Appl. 26 (2005) 1179).
+Matrix Anal. Appl. 26 (2005) 1179).  The chunk products are folded in path
+order.  The closed form holds because every generator is block diagonal in
+traceless 2x2 blocks: one block for spin-half, the two chiral blocks for
+Dirac.  The engine also returns the sum of the step generators, which is the
+frame-vector rotation angle.
 """
 
 from __future__ import annotations
@@ -210,61 +213,51 @@ def _power(x: np.ndarray, n: int) -> np.ndarray:
         x = _pair_product(x, x)
 
 
-def _tree_product(mats: np.ndarray) -> np.ndarray:
-    """Ordered product ``mats[-1] @ ... @ mats[0]`` of a block stack ``(m, B, 2, 2)``.
+def _tree_product(x: np.ndarray) -> np.ndarray:
+    """Ordered product ``x[..., -1] @ ... @ x[..., 0]`` of 2x2 matrices ``x[i, j, ..., k]``.
 
     Each level multiplies neighbouring pairs, later on the left, carrying an
-    odd one out.  The matrix indices are moved in front, so that each level is
+    odd one out.  The matrix indices stay in front, so that each level is
     three elementwise operations over the whole stack (numpy's matmul spends
-    one BLAS call on every 2x2 product).  A stack of one matrix repeated (a
-    zero stride along the steps) is the ``m``-th power of that matrix; each
-    level of the tree is then computed once, by repeated squaring.
+    one BLAS call on every 2x2 product).
     """
-    x = mats.transpose(2, 3, 1, 0)  # x[i, j, b, k] = mats[k, b, i, j]
-    if x.strides[-1] == 0:
-        return _power(x[..., 0], x.shape[-1]).transpose(2, 0, 1)
     while x.shape[-1] > 1:
         n = x.shape[-1]
         paired = _pair_product(x[..., 1::2], x[..., : n - 1 : 2])
         x = np.concatenate([paired, x[..., -1:]], axis=-1) if n % 2 else paired
-    return x[..., 0].transpose(2, 0, 1)
+    return x[..., 0]
 
 
-def _step_exponentials(generator, phi0: float, dphi: float, steps: int, blocks):
-    """Exponentials of the midpoint-rule steps, yielded chunk by chunk in path order.
+def _path_ordered(generator, phi0: float, dphi: float, steps: int, blocks, n: int):
+    """Midpoint-rule product of the path's steps and the sum of their generators.
 
     Step k runs from ``phi0 + k dphi`` to ``phi0 + (k + 1) dphi``.
     ``generator(phi)`` receives the array of midpoint azimuths of one chunk
     and returns the generators per unit azimuth, ``(..., n, n)`` broadcasting
     to ``(len(phi), n, n)`` and block diagonal in the index pairs ``blocks``.
-    Each chunk is an array ``(len(phi), B, 2, 2)`` of the step exponentials'
-    diagonal blocks.  A generator with no step axis does not vary along phi:
-    it holds on the rest of the path, so the last chunk is a zero-stride view
-    of every remaining step and the generator is not called again.
+    A generator with no step axis is one step repeated over the rest of the
+    path (see the module docstring), and it is not called again.
+
+    Returns the ``(n, n)`` product, later steps on the left, and the
+    ``(B, 2, 2)`` diagonal blocks of the sum of every step's generator times
+    ``dphi``.  Raises ``ValueError`` if the product is not finite.
     """
-    for start in range(0, steps, _CHUNK):
+    op, total, start = None, 0.0, 0
+    while start < steps:
         phi = phi0 + (np.arange(start, min(start + _CHUNK, steps)) + 0.5) * dphi
         gen = _split_blocks(generator(phi) * dphi, blocks)
         if gen.ndim == 3:  # (B, 2, 2): constant along phi
-            yield np.broadcast_to(_expm_traceless(gen), (steps - start,) + gen.shape)
-            return
-        yield np.broadcast_to(_expm_traceless(gen), phi.shape + gen.shape[-3:])
-
-
-def _ordered_product(chunks, blocks, n: int) -> np.ndarray:
-    """The ``(n, n)`` product of every step, later steps on the left.
-
-    Each chunk of :func:`_step_exponentials` is reduced by a pairwise tree;
-    the chunk products are then folded in path order.  Raises ``ValueError``
-    if the product is not finite.
-    """
-    op = None
-    for exps in chunks:
-        part = _tree_product(exps)
+            stack, repeat = gen[None], steps - start
+        else:
+            stack, repeat = np.broadcast_to(gen, phi.shape + gen.shape[-3:]), 1
+        exps = _expm_traceless(stack).transpose(2, 3, 1, 0)  # exps[i, j, b, k]
+        part = _power(_tree_product(exps), repeat).transpose(2, 0, 1)
         op = part if op is None else part @ op
+        total = total + repeat * stack.sum(axis=0)
+        start += len(stack) * repeat
     if not np.isfinite(op).all():
         raise ValueError("path-ordered product is not finite; the connection overflows on this path")
-    return _join_blocks(op, blocks, n)
+    return _join_blocks(op, blocks, n), total
 
 
 @dataclass(frozen=True)
@@ -348,9 +341,9 @@ def transport_from_connection(
     azimuths, and must return the connection ``X[..., mu, a, b]`` as an
     array that broadcasts to ``(M, 4, 4, 4)``; a connection that does not
     vary along phi may return a single ``(4, 4, 4)`` array.  Such an array
-    holds along the whole path: the hook is then called once, with the first
-    chunk's midpoints, and the product of the equal steps is a power.  The
-    connection functions of :mod:`eprfw.geometry` all behave this way.
+    is one step with a repeat count over the whole path: the hook is then
+    called once, with the first chunk's midpoints.  The connection functions
+    of :mod:`eprfw.geometry` all behave this way.
     Raises ``ValueError`` if the product is not finite.
 
     The azimuth is continued with its sign, so the partner particle
@@ -385,8 +378,7 @@ def transport_from_connection(
         lead = wab.shape[:-2]
         return -0.5j * (wab.reshape(lead + (16,)) @ sig_flat).reshape(lead + (dim, dim))
 
-    blocks = _BLOCKS[representation]
-    return _ordered_product(_step_exponentials(generator, phi0, dphi, steps, blocks), blocks, dim)
+    return _path_ordered(generator, phi0, dphi, steps, _BLOCKS[representation], dim)[0]
 
 
 def chiral_block(d: np.ndarray, which: str = "right", tol: float = 1e-8) -> np.ndarray:

@@ -350,6 +350,14 @@ def test_geometry_near_axis_prints_finite_values(capsys):
             assert oracle == pytest.approx(closed, rel=1e-6)
 
 
+def test_geometry_near_axis_lists_no_radial_connection(capsys):
+    # the closed form has no rho component; round-off of 1/(alpha rho^2) must not show one
+    assert run(["geometry", "--rho", "5e-6"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "omega_phi^1_3" in out
+    assert not re.search(r"(omega|Omega)_rho", out)
+
+
 def test_geometry_rest_frame_has_zero_boost_terms(capsys):
     assert run(["geometry", "--alpha", "1", "--xi", "0"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -395,6 +403,32 @@ def test_module_execution_round_trip(tmp_path):
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert out.read_text().startswith(",".join(BELL_COLUMNS))
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["geometry", "--rho", "1e200"], "rho"),
+        (["transport", "--rho", "1e300", "--xi", "1"], "rho"),
+        (["geometry", "--c", "1e300", "--xi", "1"], "c"),
+        (["transport", "--xi", "4.946743251852692e-168", "--c", "4.946743251852692e-168"], "c"),
+    ],
+)
+def test_overflow_names_its_input(argv, name):
+    # a fresh process, so that a numpy warning would reach stderr as it does for a user
+    proc = subprocess.run([sys.executable, "-m", "eprfw", *argv], capture_output=True, text=True)
+    assert proc.returncode == EXIT_USAGE
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert re.search(rf"\b{name}\b", lines[0]), lines[0]
+
+
+def test_large_radius_inside_the_domain_runs():
+    proc = subprocess.run(
+        [sys.executable, "-m", "eprfw", "geometry", "--rho", "1e150"], capture_output=True, text=True
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_import_leaves_scipy_unloaded():

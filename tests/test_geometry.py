@@ -53,6 +53,10 @@ def test_geometry_validation():
         StringGeometry(1.2)  # anti-conical range is rejected
     with pytest.raises(ValueError):
         StringGeometry(0.5, c=0.0)
+    for c in (1e300, 4.946743251852692e-168):  # c^2 overflows or underflows to 0
+        with pytest.raises(ValueError, match="c\\^2"):
+            StringGeometry(0.5, c=c)
+    StringGeometry(0.5, c=1e150)
     StringGeometry(1.0)  # flat limit is allowed
 
 
@@ -167,6 +171,14 @@ def test_spin_connection_flat_limit():
     assert abs(omega[PHI, 1, 3]) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("rho", [5e-6, 1e-3, 1.0, 1e5])
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_spin_connection_has_no_radial_component(alpha, rho):
+    # d_rho e^phi_3 cancels Gamma^phi_{rho phi} e^phi_3 exactly, not to round-off
+    omega = spin_connection_at(StringGeometry(alpha), SpacetimePoint(rho=rho, phi=0.3))
+    assert not omega[RHO].any()
+
+
 @pytest.mark.parametrize("geom,pt", every_point())
 def test_spin_connection_generic_pipeline(geom, pt):
     assert np.abs(spin_connection_fd(geom, pt) - spin_connection_at(geom, pt)).max() <= 1e-6
@@ -242,6 +254,14 @@ def test_riemann_flat_space():
 def test_holonomy_deficit_full_loop(alpha):
     deficit = holonomy_deficit_angle(StringGeometry(alpha))
     assert deficit == pytest.approx(2.0 * math.pi * (1.0 - alpha), abs=1e-8)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_holonomy_deficit_of_coarse_steps(alpha, steps):
+    # one step may turn the frame by more than pi; the angle is still unwrapped
+    deficit = holonomy_deficit_angle(StringGeometry(alpha), steps=steps)
+    assert abs(deficit - 2.0 * math.pi * (1.0 - alpha)) <= 1e-12
 
 
 # ------------------------------------------------------- modulation hook

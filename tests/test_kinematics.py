@@ -44,6 +44,13 @@ def test_worldline_rejects_overflowing_connection_coefficient(alpha, rho):
         CircularWorldline(StringGeometry(alpha), rho=rho, xi=0.5)
 
 
+@pytest.mark.parametrize("alpha, rho", [(0.5, 1e200), (1.0, 1e300), (1.0, 1.5e154), (1e-200, 1e-50)])
+def test_worldline_rejects_metric_out_of_range(alpha, rho):
+    with pytest.raises(ValueError, match="rho"):
+        CircularWorldline(StringGeometry(alpha), rho=rho, xi=0.5)
+    CircularWorldline(StringGeometry(alpha), rho=1e150, xi=0.5)
+
+
 def test_four_velocity_at_rest():
     wl = CircularWorldline(StringGeometry(0.5), rho=2.0, xi=0.0)
     assert np.allclose(four_velocity(wl), [wl.geom.c, 0.0, 0.0, 0.0])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from eprfw import transport, verify
+from eprfw import geometry, transport, verify
 from eprfw.geometry import (
     MINKOWSKI,
     PHI,
@@ -32,7 +32,7 @@ from eprfw.transport import (
     transport_params,
     wigner_angle,
 )
-from eprfw.transport import _expm_traceless, _gamma_matrix, _split_blocks, _tree_product
+from eprfw.transport import _expm_traceless, _gamma_matrix, _power, _split_blocks
 from eprfw.verify import ALPHAS, PHIS, SINH_XIS
 
 XI_REF = math.asinh(0.75)  # cosh = 1.25
@@ -568,9 +568,9 @@ def test_power_is_repeated_squaring_of_the_step():
     rng = np.random.default_rng(5)
     step = _expm_traceless(random_traceless(rng, (2,), scale=0.01))
     for n in (1, 2, 5, 64, 1000):
-        stack = np.broadcast_to(step, (n,) + step.shape)
+        power = _power(step.transpose(1, 2, 0), n).transpose(2, 0, 1)  # matrix indices in front
         expected = np.stack([np.linalg.matrix_power(block, n) for block in step])
-        assert np.abs(_tree_product(stack) - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert np.abs(power - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_non_finite_product_is_rejected():
@@ -598,3 +598,18 @@ def test_frame_vector_matches_sequential_modulated(v0):
     v_ref, angle_ref = sequential_frame_vector(geom, v0, 5.0, rho=1.5, steps=1500)
     assert np.abs(v - v_ref).max() <= 1e-12
     assert abs(angle - angle_ref) <= 1e-12
+
+
+def test_frame_vector_angle_of_constant_connection_takes_one_call(monkeypatch):
+    geom, steps, calls = StringGeometry(0.5), 2**20, []
+
+    def counting(*args):
+        calls.append(args)
+        return spin_connection_at(*args)
+
+    monkeypatch.setattr(geometry, "spin_connection_at", counting)
+    v, angle = transport_frame_vector(geom, [0.0, 1.0, 0.0, 0.0], 2 * math.pi, steps=steps)
+    assert len(calls) == 1
+    assert abs(angle + 0.5 * 2 * math.pi) <= 1e-12
+    # alpha Phi = pi; the vector carries the round-off of 20 squarings (2.1e-11)
+    assert np.abs(v - [0.0, -1.0, 0.0, 0.0]).max() <= 1e-10
