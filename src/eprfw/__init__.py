@@ -47,7 +47,6 @@ from .kinematics import (
 )
 from .transport import (
     TransportParams,
-    apply_to_spinor,
     chiral_block,
     gamma_matrices,
     lorentz_generators,

@@ -1,14 +1,18 @@
 """``eprfw`` command line: geometry dumps, transport checks, Bell sweeps, verify.
 
-Configuration precedence is command-line flags over ``key=value`` config-file
-entries over built-in defaults.  Angles are radians unless ``--degrees`` is
-given, which converts angle inputs (``--phi`` and phi sweep bounds) on the way
-in.  Numbers are serialized with 17 significant digits so that parsing an
-emitted file reproduces them exactly; identical configurations produce
-byte-identical output.
+Every option is one entry of ``OPTIONS``, a parser from text and a help line;
+both the flags and the ``key=value`` config-file keys are built from it.
+Configuration precedence is flags over config-file entries over built-in
+defaults.  ``RunConfig.validate()`` is the one gate from options to a run: it
+checks every given value, whichever command uses it, and returns the run in
+domain units, with xi resolved from beta and, under ``degrees``, phi and phi
+sweep bounds converted to radians.  Numbers are serialized with 17
+significant digits so that parsing an emitted file reproduces them exactly;
+identical configurations produce byte-identical output.
 
-Exit codes: 0 success, 1 check failure, 2 usage error (including input outside
-the domain, and overflow or underflow that input causes), 3 I/O error.
+Exit codes: 0 success, 1 check failure, 2 usage error (a bad option value,
+input outside the domain, or overflow or underflow that input causes; each is
+one ``eprfw: error:`` line), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -54,46 +58,79 @@ class RunConfig:
     format: str = "csv"
     degrees: bool = False
 
-    def resolved_xi(self) -> float:
-        if self.xi is not None and self.beta is not None:
-            raise UsageError("give exactly one of xi and beta (v/c), not both")
-        if self.beta is not None:
-            return kinematics.xi_from_beta(self.beta)
-        return self.xi if self.xi is not None else 0.0
-
     def validate(self) -> "RunConfig":
-        """Check the rules only the command line knows, then build the domain
-        objects, whose constructors check alpha, c, rho, beta and xi."""
+        """The run in domain units: xi resolved from beta, and phi and a phi
+        sweep's bounds in radians, so ``beta`` is None and ``degrees`` False.
+
+        Every given value is checked, whichever command uses it: this checks
+        the rules only the command line knows, then builds the domain objects
+        at the given point and at both ends of a sweep, whose constructors and
+        ``transport_params`` raise ``ValueError`` outside the domain.  Each of
+        their rules bounds an interval of alpha, xi or Phi, and |eta1 + eta2| =
+        alpha Phi cosh(xi) e^xi, which bounds |eta1 - eta2|, grows with each of
+        them, so a linear sweep lies in the domain exactly when its ends do.
+        """
         if self.steps is not None and self.steps < 1:
             raise UsageError(f"steps must be >= 1, got {self.steps}")
         if self.format not in ("csv", "json"):
             raise UsageError(f"format must be csv or json, got {self.format}")
+        if self.xi is not None and self.beta is not None:
+            raise UsageError("give exactly one of xi and beta (v/c), not both")
+        xi = self.xi if self.beta is None else kinematics.xi_from_beta(self.beta)
+        phi = math.radians(self.phi) if self.degrees else self.phi
+        run = replace(self, xi=0.0 if xi is None else xi, beta=None, phi=phi, degrees=False)
+        points = [{"alpha": run.alpha, "xi": run.xi, "phi": run.phi}]
         if self.sweep is not None:
-            var, _, _, count = self.sweep
+            var, start, stop, count = self.sweep
             if var not in SWEEP_VARS:
                 raise UsageError(f"sweep variable must be one of {SWEEP_VARS}, got {var!r}")
             if count < 1:
                 raise UsageError(f"sweep count must be >= 1, got {count}")
-        CircularWorldline(StringGeometry(self.alpha, c=self.c), rho=self.rho, xi=self.resolved_xi())
-        return self
+            if self.degrees and var == "phi":
+                start, stop = math.radians(start), math.radians(stop)
+                run = replace(run, sweep=(var, start, stop, count))
+            ends = (start, stop) if count > 1 else (start,)
+            points += [dict(points[0], **{var: end}) for end in ends]
+        for point in points:
+            wl = CircularWorldline(StringGeometry(point["alpha"], c=run.c), rho=run.rho, xi=point["xi"])
+            transport.transport_params(wl, point["phi"])
+        return run
 
 
 def _parse_sweep(text: str) -> tuple[str, float, float, int]:
     parts = text.split(":")
     if len(parts) != 4:
-        raise UsageError(f"sweep must be <var>:<start>:<stop>:<count>, got {text!r}")
-    var = parts[0].strip().lower()
-    try:
-        start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
-    except ValueError as exc:
-        raise UsageError(f"bad sweep argument {text!r}: {exc}") from None
-    return var, start, stop, count
+        raise ValueError(f"expected <var>:<start>:<stop>:<count>, got {text!r}")
+    return parts[0].strip().lower(), float(parts[1]), float(parts[2]), int(parts[3])
 
 
-_CONFIG_CASTS = {
-    "alpha": float, "xi": float, "beta": float, "rho": float, "phi": float,
-    "c": float, "steps": int, "sweep": _parse_sweep, "out": str, "format": str,
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false", "1", "0"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text.lower() in ("true", "1")
+
+
+# Every RunConfig option: its parser from text and its help.
+OPTIONS = {
+    "alpha": (float, "deficit factor in (0, 1]"),
+    "xi": (float, "rapidity (v/c = tanh xi)"),
+    "beta": (float, "speed ratio v/c in [0, 1)"),
+    "rho": (float, "orbit radius"),
+    "phi": (float, "observer azimuth Phi"),
+    "c": (float, "speed of light"),
+    "steps": (int, "integrator step count N"),
+    "sweep": (_parse_sweep, "<var>:<start>:<stop>:<count> over alpha|xi|phi"),
+    "out": (str, "output path (default: stdout)"),
+    "format": (str, "output format: csv or json"),
+    "degrees": (_parse_bool, "interpret angle inputs (phi and phi sweep bounds) in degrees"),
 }
+
+
+def _cast(name: str, text: str, where: str = ""):
+    try:
+        return OPTIONS[name][0](text)
+    except ValueError as exc:
+        raise UsageError(f"{where}bad value for {name}: {exc}") from None
 
 
 def read_config_file(path: str) -> dict:
@@ -107,41 +144,20 @@ def read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "degrees":
-                if value.lower() not in ("true", "false", "1", "0"):
-                    raise UsageError(f"{path}:{lineno}: degrees must be true/false")
-                values[key] = value.lower() in ("true", "1")
-            elif key in _CONFIG_CASTS:
-                try:
-                    values[key] = _CONFIG_CASTS[key](value)
-                except ValueError as exc:
-                    raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
-            else:
+            key = key.strip()
+            if key not in OPTIONS:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            values[key] = _cast(key, value.strip(), where=f"{path}:{lineno}: ")
     return values
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = replace(cfg, **read_config_file(args.config))
-    overrides = {}
-    for name in ("alpha", "xi", "beta", "rho", "phi", "c", "steps", "out", "format"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "sweep", None) is not None:
-        overrides["sweep"] = _parse_sweep(args.sweep)
-    if getattr(args, "degrees", False):
-        overrides["degrees"] = True
-    cfg = replace(cfg, **overrides).validate()
-    if cfg.degrees:
-        cfg = replace(cfg, phi=math.radians(cfg.phi))
-        if cfg.sweep is not None and cfg.sweep[0] == "phi":
-            var, start, stop, count = cfg.sweep
-            cfg = replace(cfg, sweep=(var, math.radians(start), math.radians(stop), count))
-    return cfg
+    """Flags over config-file entries over defaults, validated into a run."""
+    values = read_config_file(args.config) if args.config else {}
+    for name in OPTIONS:
+        if getattr(args, name) is not None:
+            values[name] = _cast(name, getattr(args, name))
+    return RunConfig(**values).validate()
 
 
 def _fmt(x: float) -> str:
@@ -149,23 +165,12 @@ def _fmt(x: float) -> str:
 
 
 def sweep_points(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (alpha, xi, Phi) of every sweep point, as three broadcast arrays in input order.
-
-    Only the first and last points are built as domain objects.  Each rule of
-    the domain bounds an interval of alpha, xi or Phi, and |eta1 + eta2| =
-    alpha Phi cosh(xi) e^xi, which bounds |eta1 - eta2|, grows with each of
-    them, so a linear sweep lies in the domain exactly when its ends do.
-    """
-    values = {"alpha": cfg.alpha, "xi": cfg.resolved_xi(), "phi": cfg.phi}
+    """The (alpha, xi, Phi) of every sweep point of a validated run, as three broadcast arrays in input order."""
+    values = {"alpha": cfg.alpha, "xi": cfg.xi, "phi": cfg.phi}
     if cfg.sweep is not None:
         var, start, stop, count = cfg.sweep
         values[var] = np.linspace(start, stop, count)
-    points = np.broadcast_arrays(*np.atleast_1d(values["alpha"], values["xi"], values["phi"]))
-    for end in (0, -1):
-        alpha, xi, Phi = (float(v[end]) for v in points)
-        wl = CircularWorldline(StringGeometry(alpha, c=cfg.c), rho=cfg.rho, xi=xi)
-        transport.transport_params(wl, Phi)  # raises outside the domain
-    return tuple(points)
+    return tuple(np.broadcast_arrays(*np.atleast_1d(values["alpha"], values["xi"], values["phi"])))
 
 
 def _write_text(cfg: RunConfig, text: str) -> None:
@@ -177,16 +182,8 @@ def _write_text(cfg: RunConfig, text: str) -> None:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    return {
-        "alpha": cfg.alpha,
-        "xi": cfg.resolved_xi(),
-        "rho": cfg.rho,
-        "phi": cfg.phi,
-        "c": cfg.c,
-        "steps": cfg.steps,  # null means per-command default
-        "sweep": list(cfg.sweep) if cfg.sweep else None,
-        "format": cfg.format,
-    }
+    """The validated run as the JSON output records it; a null ``steps`` means the per-command default."""
+    return {name: value for name, value in asdict(cfg).items() if name not in ("beta", "out", "degrees")}
 
 
 # ------------------------------------------------------------- subcommands
@@ -195,7 +192,7 @@ def _config_echo(cfg: RunConfig) -> dict:
 def cmd_geometry(cfg: RunConfig) -> int:
     geom = StringGeometry(cfg.alpha, c=cfg.c)
     pt = SpacetimePoint(rho=cfg.rho, phi=0.0)
-    wl = CircularWorldline(geom, rho=cfg.rho, xi=cfg.resolved_xi())
+    wl = CircularWorldline(geom, rho=cfg.rho, xi=cfg.xi)
     accel = kinematics.proper_acceleration(wl)
     lines = [f"geometry at alpha={_fmt(cfg.alpha)} rho={_fmt(cfg.rho)} xi={_fmt(wl.xi)} c={_fmt(cfg.c)}"]
     g = geometry.metric_at(geom, pt)
@@ -233,11 +230,10 @@ def cmd_geometry(cfg: RunConfig) -> int:
 
 def cmd_transport(cfg: RunConfig) -> int:
     geom = StringGeometry(cfg.alpha, c=cfg.c)
-    xi = cfg.resolved_xi()
     steps = cfg.steps if cfg.steps is not None else 1024
-    lines = [f"transport at alpha={_fmt(cfg.alpha)} xi={_fmt(xi)} Phi={_fmt(cfg.phi)} steps={steps}"]
+    lines = [f"transport at alpha={_fmt(cfg.alpha)} xi={_fmt(cfg.xi)} Phi={_fmt(cfg.phi)} steps={steps}"]
     for direction in (+1, -1):
-        wl = CircularWorldline(geom, rho=cfg.rho, xi=xi, direction=direction)
+        wl = CircularWorldline(geom, rho=cfg.rho, xi=cfg.xi, direction=direction)
         params = transport.transport_params(wl, cfg.phi)
         op = transport.transport_closed_form(params)
         num = transport.transport_from_connection(wl, cfg.phi, steps)
@@ -305,18 +301,11 @@ def cmd_verify(cfg: RunConfig, inject_omega_sign_flip: bool = False) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file ('#' comments)")
-    common.add_argument("--alpha", type=float, help="deficit factor in (0, 1]")
-    common.add_argument("--xi", type=float, help="rapidity (v/c = tanh xi)")
-    common.add_argument("--beta", type=float, help="speed ratio v/c in [0, 1)")
-    common.add_argument("--rho", type=float, help="orbit radius")
-    common.add_argument("--phi", type=float, help="observer azimuth Phi")
-    common.add_argument("--c", type=float, help="speed of light")
-    common.add_argument("--steps", type=int, help="integrator step count N")
-    common.add_argument("--sweep", help="<var>:<start>:<stop>:<count> over alpha|xi|phi")
-    common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), help="output format")
-    common.add_argument("--degrees", action="store_true", default=None,
-                        help="interpret angle inputs in degrees")
+    for name, (_, help_text) in OPTIONS.items():
+        if name == "degrees":
+            common.add_argument("--degrees", action="store_const", const="true", help=help_text)
+        else:
+            common.add_argument(f"--{name}", help=help_text)
     parser = argparse.ArgumentParser(
         prog="eprfw",
         description="EPR spin correlations around a cosmic string via Fermi-Walker transport",

@@ -274,24 +274,18 @@ class BellReport:
     bell_coefficients: tuple  # (psi-, psi+, phi-, phi+) components
 
 
-def bell_report(
-    alpha: float,
-    xi: float,
-    Phi: float,
-    c: float = 1.0,
-    assignment: int = RESTORATION_ASSIGNMENT,
-) -> BellReport:
+def bell_report(alpha: float, xi: float, Phi: float) -> BellReport:
     """Evolve the singlet with the two closed-form transport operators and measure.
 
     The orbit radius drops out of every reported quantity, so a unit-radius
     worldline pair is used internally.
     """
-    geom = StringGeometry(alpha=alpha, c=c)
+    geom = StringGeometry(alpha=alpha)
     plus = transport_params(CircularWorldline(geom, rho=1.0, xi=xi, direction=+1), Phi)
     minus = transport_params(CircularWorldline(geom, rho=1.0, xi=xi, direction=-1), Phi)
     state = evolve_pair(initial_state(), transport_closed_form(plus), transport_closed_form(minus))
     theta = plus.theta
-    restored = chsh_restored(state, theta, assignment)
+    restored = chsh_restored(state, theta)
     coeffs = bell_decomposition(state)
     return BellReport(
         alpha=alpha,

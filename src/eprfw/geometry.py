@@ -253,8 +253,10 @@ def fw_connection_at(
 
     tau_mu^a_b = (a^nu / c^2) (e^a_nu e_{b mu} - e^a_mu e_{b nu}) with
     e_{b mu} = eta_{bc} e^c_mu; ``accel`` is given in coordinate components.
+    It is divided by c^2 before the frame products, which carry e^0_t = c and
+    would overflow first wherever c^2 |a| is near the float maximum.
     """
-    accel = np.asarray(accel, dtype=float)
+    accel = np.asarray(accel, dtype=float) / geom.c**2
     tet = tetrad_at(geom, pt)
     lower = MINKOWSKI @ tet.e  # lower[b, mu] = e_{b mu}
     ae = tet.e @ accel     # ae[a] = e^a_nu a^nu
@@ -262,7 +264,6 @@ def fw_connection_at(
     # tau[mu, a, b] = ae[a] lower[b, mu] - e[a, mu] al[b], as broadcast products
     tau = ae[..., None, :, None] * np.swapaxes(lower, -1, -2)[..., :, None, :]
     tau -= np.swapaxes(tet.e, -1, -2)[..., :, :, None] * al[..., None, None, :]
-    tau /= geom.c**2
     return tau
 
 

@@ -54,6 +54,10 @@ class CircularWorldline:
             )
         if not 0.0 <= self.xi <= XI_MAX:
             raise ValueError(f"rapidity xi must lie in [0, {XI_MAX:g}], got {self.xi}")
+        if not math.isfinite(_radial_acceleration(self)):
+            raise ValueError(
+                f"proper acceleration c^2 sinh^2(xi)/rho is not finite at c={self.geom.c}, rho={self.rho}, xi={self.xi}"
+            )
         if self.direction not in (+1, -1):
             raise ValueError(f"direction must be +1 or -1, got {self.direction}")
 
@@ -74,10 +78,16 @@ def four_velocity(wl: CircularWorldline) -> np.ndarray:
     return u
 
 
+def _radial_acceleration(wl: CircularWorldline) -> float:
+    # c**2 and sinh(xi)**2 stay finite inside the domain; the quotient and the
+    # product may overflow, which gives inf and no exception
+    return -(wl.geom.c**2 / wl.rho) * math.sinh(wl.xi) ** 2
+
+
 def proper_acceleration(wl: CircularWorldline) -> np.ndarray:
     """Centripetal a^rho = -(c^2 / rho) sinh^2(xi); the only nonzero component."""
     a = np.zeros(4)
-    a[RHO] = -(wl.geom.c**2 / wl.rho) * math.sinh(wl.xi) ** 2
+    a[RHO] = _radial_acceleration(wl)
     return a
 
 

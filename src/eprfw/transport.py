@@ -79,8 +79,6 @@ __all__ = [
     "chiral_block",
     "wigner_angle",
     "rotation_angle",
-    "apply_to_spinor",
-    "spinor",
 ]
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -409,18 +407,3 @@ def wigner_angle(alpha, xi, Phi):
 def rotation_angle(op: np.ndarray) -> float:
     """Rotation angle of a real 2x2 rotation-form operator [[c, -s], [s, c]]."""
     return 2.0 * math.atan2(op[1, 0].real, op[0, 0].real)
-
-
-def spinor(label: str) -> np.ndarray:
-    """Basis spinor |up> = (1, 0) or |down> = (0, 1)."""
-    if label == "up":
-        return np.array([1.0, 0.0], dtype=complex)
-    if label == "down":
-        return np.array([0.0, 1.0], dtype=complex)
-    raise ValueError(f"spinor label must be 'up' or 'down', got {label!r}")
-
-
-def apply_to_spinor(op: np.ndarray, s) -> np.ndarray:
-    """Apply a 2x2 operator to a basis spinor label or explicit 2-vector."""
-    vec = spinor(s) if isinstance(s, str) else np.asarray(s, dtype=complex)
-    return np.asarray(op, dtype=complex) @ vec

@@ -21,6 +21,7 @@ from eprfw.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    OPTIONS,
     SWEEP_VARS,
     RunConfig,
     _fmt,
@@ -97,7 +98,7 @@ def bell_config(argv):
 
 def expected_inputs(cfg):
     """(alpha, xi, Phi) of each sweep point, expanded one point at a time."""
-    point = {"alpha": cfg.alpha, "xi": cfg.resolved_xi(), "phi": cfg.phi}
+    point = {"alpha": cfg.alpha, "xi": cfg.xi, "phi": cfg.phi}
     if cfg.sweep is None:
         return [(point["alpha"], point["xi"], point["phi"])]
     var, start, stop, count = cfg.sweep
@@ -228,6 +229,50 @@ def test_degrees_applies_to_phi_sweep_bounds(capsys):
     assert phis == pytest.approx([0.0, math.pi / 2, math.pi])
 
 
+@pytest.mark.parametrize(
+    "degrees, radians",
+    [
+        ({"phi": 180.0}, {"phi": math.pi}),
+        ({"phi": 90.0, "sweep": ("phi", 0.0, 180.0, 5)}, {"phi": math.pi / 2, "sweep": ("phi", 0.0, math.pi, 5)}),
+    ],
+)
+def test_validate_returns_radians(degrees, radians):
+    assert RunConfig(**degrees, degrees=True).validate() == RunConfig(**radians).validate()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {},
+        {"beta": 0.6},
+        {"phi": 90.0, "degrees": True},
+        {"beta": 0.6, "sweep": ("phi", 0.0, 270.0, 7), "degrees": True, "format": "json", "steps": 8},
+        {"xi": 0.4, "sweep": ("xi", 0.1, 2.0, 5), "degrees": True},
+    ],
+)
+def test_validate_is_idempotent(values):
+    run_ = RunConfig(**values).validate()
+    assert run_.beta is None and run_.degrees is False and run_.xi is not None
+    assert run_.validate() == run_
+
+
+FILE_AND_FLAG_VALUES = {
+    "alpha": "0.75", "xi": "0.3", "beta": "0.25", "rho": "3.5", "phi": "1.25", "c": "2",
+    "steps": "16", "sweep": "Phi:0:90:4", "out": "run.csv", "format": "json", "degrees": "true",
+}
+
+
+@pytest.mark.parametrize("name", list(OPTIONS))
+def test_config_file_and_flag_give_equal_runs(name, tmp_path):
+    text = FILE_AND_FLAG_VALUES[name]
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{name} = {text}\n")
+    flag = ["--degrees"] if name == "degrees" else [f"--{name}", text]
+    from_file = bell_config(["--config", str(path)])
+    assert from_file == bell_config(flag)
+    assert from_file != bell_config([])
+
+
 # -------------------------------------------------------------- exit codes
 
 
@@ -267,12 +312,19 @@ def test_degrees_applies_to_phi_sweep_bounds(capsys):
         ["bell", "--sweep", "xi:0:400:3"],
         ["bell", "--sweep", "phi:-1:1:3"],
         ["bell", "--alpha", "1", "--xi", "182.7", "--sweep", "phi:0:1e150:3"],
+        # bad flag values, and given values no command uses
+        ["bell", "--format", "xml"],
+        ["bell", "--alpha", "abc"],
+        ["bell", "--steps", "1.5"],
+        ["geometry", "--phi", "nan"],
+        ["verify", "--phi", "-1"],
     ],
 )
 def test_usage_errors(argv, capsys):
     assert run(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("eprfw: error: ")
+    assert err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -333,16 +385,21 @@ def test_geometry_dump_contains_connection_tables(capsys):
     assert "tau_t^0_1 = 0.28125" in out
 
 
-def test_geometry_near_axis_prints_finite_values(capsys):
-    # within 2e-5 of the axis the finite-difference stencil shrinks to rho / 2
-    assert run(["geometry", "--rho", "5e-6"]) == EXIT_OK
-    out = capsys.readouterr().out
+def printed_numbers(text):
     numbers = []
-    for token in re.split(r"[\s=|]+", out):
+    for token in re.split(r"[\s=|]+", text):
         try:
             numbers.append(float(token))
         except ValueError:
             pass
+    return numbers
+
+
+def test_geometry_near_axis_prints_finite_values(capsys):
+    # within 2e-5 of the axis the finite-difference stencil shrinks to rho / 2
+    assert run(["geometry", "--rho", "5e-6"]) == EXIT_OK
+    out = capsys.readouterr().out
+    numbers = printed_numbers(out)
     assert numbers and all(math.isfinite(x) for x in numbers)
     for line in out.splitlines():
         if " = " in line and "|" in line:  # closed form | finite-difference oracle
@@ -412,6 +469,8 @@ def test_module_execution_round_trip(tmp_path):
         (["transport", "--rho", "1e300", "--xi", "1"], "rho"),
         (["geometry", "--c", "1e300", "--xi", "1"], "c"),
         (["transport", "--xi", "4.946743251852692e-168", "--c", "4.946743251852692e-168"], "c"),
+        (["transport", "--c", "1e154", "--xi", "3"], "c"),
+        (["geometry", "--c", "1e100", "--xi", "300"], "c"),
     ],
 )
 def test_overflow_names_its_input(argv, name):
@@ -429,6 +488,17 @@ def test_large_radius_inside_the_domain_runs():
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stderr == ""
+
+
+def test_large_acceleration_inside_the_domain_runs():
+    # c^2 sinh^2(xi) / rho = 6.9e307: finite, though the boost components reach 6.9e153
+    proc = subprocess.run(
+        [sys.executable, "-m", "eprfw", "geometry", "--c", "1e154", "--xi", "1"], capture_output=True, text=True
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr == ""
+    numbers = printed_numbers(proc.stdout)
+    assert numbers and all(math.isfinite(x) for x in numbers)
 
 
 def test_import_leaves_scipy_unloaded():

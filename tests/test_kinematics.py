@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eprfw.geometry import PHI, RHO, StringGeometry, metric_at
+from eprfw.geometry import PHI, RHO, StringGeometry, fw_connection_at, metric_at
 from eprfw.kinematics import (
     CircularWorldline,
     acceleration_from_velocity,
@@ -49,6 +49,23 @@ def test_worldline_rejects_metric_out_of_range(alpha, rho):
     with pytest.raises(ValueError, match="rho"):
         CircularWorldline(StringGeometry(alpha), rho=rho, xi=0.5)
     CircularWorldline(StringGeometry(alpha), rho=1e150, xi=0.5)
+
+
+@pytest.mark.parametrize("c, rho, xi", [(1e154, 2.0, 3.0), (1e100, 2.0, 300.0), (1e154, 1e-5, 0.0)])
+def test_worldline_rejects_non_finite_acceleration(c, rho, xi):
+    with pytest.raises(ValueError, match=r"c=.*rho=.*xi="):
+        CircularWorldline(StringGeometry(0.5, c=c), rho=rho, xi=xi)
+
+
+def test_fw_connection_finite_at_large_acceleration():
+    # c^2 sinh^2(xi) / rho = 6.9e307 is finite; c^2 |a| is not, so a is scaled by 1/c^2 first
+    wl = CircularWorldline(StringGeometry(0.5, c=1e154), rho=2.0, xi=1.0)
+    accel = proper_acceleration(wl)
+    assert math.isfinite(accel[RHO])
+    with np.errstate(all="raise"):
+        tau = fw_connection_at(wl.geom, wl.point(), accel)
+    assert np.isfinite(tau).all()
+    assert tau[PHI, 1, 3] == pytest.approx(-math.sinh(1.0) ** 2 / 2.0, rel=1e-15)
 
 
 def test_four_velocity_at_rest():

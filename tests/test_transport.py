@@ -21,12 +21,10 @@ from eprfw.geometry import (
 from eprfw.kinematics import CircularWorldline, proper_acceleration
 from eprfw.transport import (
     IDENTITY2,
-    apply_to_spinor,
     chiral_block,
     gamma_matrices,
     lorentz_generators,
     rotation_angle,
-    spinor,
     transport_closed_form,
     transport_from_connection,
     transport_params,
@@ -216,6 +214,15 @@ def test_closed_form_unimodular(params):
     assert abs(np.linalg.det(transport_closed_form(params)) - 1.0) <= 1e-10
 
 
+def test_closed_form_boosted_entries():
+    params = transport_params(ref_worldline(), math.pi)
+    op = transport_closed_form(params)
+    theta = params.theta
+    assert op[0, 0].real == pytest.approx(math.cos(theta / 2), abs=1e-14)
+    assert op[1, 0].real == pytest.approx((params.eta1 - params.eta2) * math.sin(theta / 2) / theta, abs=1e-14)
+    assert op[0, 1].real == pytest.approx((params.eta1 + params.eta2) * math.sin(theta / 2) / theta, abs=1e-14)
+
+
 def test_boosted_transport_is_not_unitary():
     for sh in (0.75, 2.0):
         op = transport_closed_form(transport_params(ref_worldline(sh=sh), math.pi))
@@ -227,39 +234,6 @@ def test_full_period_boosted_transport_is_unitary():
     wl = ref_worldline(alpha=1.0)
     op = transport_closed_form(transport_params(wl, 2 * math.pi / 1.25))
     assert np.abs(op.conj().T @ op - IDENTITY2).max() <= 1e-12
-
-
-# ----------------------------------------------------------------- spinors
-
-
-def test_apply_to_spinor_rotation_action():
-    theta = 0.5 * math.pi
-    op = transport_closed_form(transport_params(ref_worldline(sh=0.0), math.pi))
-    out = apply_to_spinor(op, "up")
-    assert np.allclose(out, [math.cos(theta / 2), math.sin(theta / 2)], atol=1e-14)
-
-
-def test_apply_identity_to_down():
-    assert np.allclose(apply_to_spinor(IDENTITY2, "down"), spinor("down"))
-
-
-def test_apply_to_spinor_boosted_mixing_structure():
-    params = transport_params(ref_worldline(), math.pi)
-    out = apply_to_spinor(transport_closed_form(params), "up")
-    theta = params.theta
-    expected_up = math.cos(theta / 2)
-    expected_down = (params.eta1 - params.eta2) * math.sin(theta / 2) / theta
-    assert out[0].real == pytest.approx(expected_up, abs=1e-14)
-    assert out[1].real == pytest.approx(expected_down, abs=1e-14)
-    out_down = apply_to_spinor(transport_closed_form(params), "down")
-    assert out_down[0].real == pytest.approx(
-        (params.eta1 + params.eta2) * math.sin(theta / 2) / theta, abs=1e-14
-    )
-
-
-def test_spinor_label_validation():
-    with pytest.raises(ValueError):
-        spinor("sideways")
 
 
 # ------------------------------------------------------------- wigner angle
