@@ -5,8 +5,8 @@ both the flags and the ``key=value`` config-file keys are built from it.
 Configuration precedence is flags over config-file entries over built-in
 defaults.  ``RunConfig.validate()`` is the one gate from options to a run: it
 checks every given value, whichever command uses it, and returns the run in
-domain units, with xi resolved from beta and, under ``degrees``, phi and phi
-sweep bounds converted to radians.  Numbers are serialized with 17
+domain units, with xi resolved from beta and, under ``degrees``, a given phi
+and phi sweep bounds converted to radians.  Numbers are serialized with 17
 significant digits so that parsing an emitted file reproduces them exactly;
 identical configurations produce byte-identical output.
 
@@ -50,7 +50,7 @@ class RunConfig:
     xi: float | None = None
     beta: float | None = None
     rho: float = 2.0
-    phi: float = math.pi
+    phi: float | None = None  # pi radians when not given, with or without degrees
     c: float = 1.0
     steps: int | None = None  # per-command defaults: transport 1024, verify 65536
     sweep: tuple[str, float, float, int] | None = None
@@ -59,8 +59,9 @@ class RunConfig:
     degrees: bool = False
 
     def validate(self) -> "RunConfig":
-        """The run in domain units: xi resolved from beta, and phi and a phi
-        sweep's bounds in radians, so ``beta`` is None and ``degrees`` False.
+        """The run in domain units: xi resolved from beta, phi pi radians when
+        not given, and a given phi and a phi sweep's bounds in radians, so
+        ``beta`` is None and ``degrees`` False.
 
         Every given value is checked, whichever command uses it: this checks
         the rules only the command line knows, then builds the domain objects
@@ -77,7 +78,10 @@ class RunConfig:
         if self.xi is not None and self.beta is not None:
             raise UsageError("give exactly one of xi and beta (v/c), not both")
         xi = self.xi if self.beta is None else kinematics.xi_from_beta(self.beta)
-        phi = math.radians(self.phi) if self.degrees else self.phi
+        if self.phi is None:
+            phi = math.pi
+        else:
+            phi = math.radians(self.phi) if self.degrees else self.phi
         run = replace(self, xi=0.0 if xi is None else xi, beta=None, phi=phi, degrees=False)
         points = [{"alpha": run.alpha, "xi": run.xi, "phi": run.phi}]
         if self.sweep is not None:

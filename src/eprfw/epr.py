@@ -27,7 +27,6 @@ from .transport import (
 )
 
 __all__ = [
-    "RESTORATION_ASSIGNMENT",
     "BellBasis",
     "MeasurementSettings",
     "BellReport",
@@ -35,7 +34,6 @@ __all__ = [
     "initial_state",
     "evolve_pair",
     "final_state_closed_form",
-    "state_norm",
     "bell_decomposition",
     "chsh_settings",
     "correlator",
@@ -49,11 +47,6 @@ __all__ = [
     "bell_columns",
     "same_ray",
 ]
-
-# The observer at +Phi rotates their measurement axes by +theta about the
-# 2-axis (the observer at -Phi by -theta).  +1 is the assignment that returns
-# the CHSH value to 2*sqrt(2) at xi = 0; the selection test freezes it here.
-RESTORATION_ASSIGNMENT = +1
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
@@ -101,38 +94,32 @@ def evolve_pair(initial: np.ndarray, xi_plus: np.ndarray, xi_minus: np.ndarray) 
     return _kron2(xi_plus, xi_minus) @ np.asarray(initial, dtype=complex)
 
 
-def final_state_closed_form(alpha: float, xi: float, Phi: float, branch: int = +1) -> np.ndarray:
+def final_state_closed_form(alpha: float, xi: float, Phi: float) -> np.ndarray:
     """Closed-form transported pair state.
 
-    cos(theta) |psi-> + branch * sin(theta) (sinh(xi) |phi-> + cosh(xi) |phi+>)
+    cos(theta) |psi-> + sin(theta) (sinh(xi) |phi-> + cosh(xi) |phi+>)
     with theta = alpha * Phi * cosh(xi).  The relative phase between the psi-
     and phi blocks is real: applying the two closed-form transport operators
     to the singlet (:func:`evolve_pair`) produces exactly this state, which
-    the pair-evolution test asserts amplitude by amplitude.  ``branch = -1``
-    selects the mirror labeling with the two particles' roles swapped,
-    equivalent to continuing the azimuth to -Phi.
+    the pair-evolution test asserts amplitude by amplitude.  The state at
+    -Phi, where theta and so the sin(theta) term flip sign, is the mirror
+    labeling with the two particles' roles swapped.
 
     The squared norm is cos^2(theta) + sin^2(theta) cosh(2 xi) >= 1.
     """
-    if branch not in (+1, -1):
-        raise ValueError(f"branch must be +1 or -1, got {branch}")
     theta = wigner_angle(alpha, xi, Phi)
-    amplitudes = _closed_form_amplitudes(math.cos(theta), math.sin(theta), math.sinh(xi), math.cosh(xi), branch)
+    amplitudes = _closed_form_amplitudes(math.cos(theta), math.sin(theta), math.sinh(xi), math.cosh(xi))
     return amplitudes.astype(complex)
 
 
-def _closed_form_amplitudes(cos_theta, sin_theta, sinh_xi, cosh_xi, branch: int = +1) -> np.ndarray:
+def _closed_form_amplitudes(cos_theta, sin_theta, sinh_xi, cosh_xi) -> np.ndarray:
     """Real amplitudes ``(..., 4)`` of :func:`final_state_closed_form` from its trigonometric factors.
 
     The factors broadcast; scalars give one amplitude vector.
     """
     basis = bell_states()
     c, s, sh, ch = (np.asarray(v)[..., None] for v in (cos_theta, sin_theta, sinh_xi, cosh_xi))
-    return c * basis.psi_minus.real + branch * s * (sh * basis.phi_minus.real + ch * basis.phi_plus.real)
-
-
-def state_norm(s: np.ndarray) -> float:
-    return float(np.linalg.norm(s))
+    return c * basis.psi_minus.real + s * (sh * basis.phi_minus.real + ch * basis.phi_plus.real)
 
 
 def bell_decomposition(s: np.ndarray) -> np.ndarray:
@@ -212,18 +199,17 @@ def roty(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def restored_settings(theta: float, assignment: int = RESTORATION_ASSIGNMENT) -> MeasurementSettings:
+def restored_settings(theta: float) -> MeasurementSettings:
     """CHSH settings with each observer's axes rotated against the precession.
 
     The observer at +Phi conjugates their observables with a rotation by
-    ``assignment * theta`` about the 2-axis, the observer at -Phi with the
-    opposite rotation.
+    +theta about the 2-axis, the observer at -Phi with a rotation by -theta.
+    This sense returns the CHSH value to 2 sqrt(2) at xi = 0 (Terashima and
+    Ueda, Phys. Rev. A 69 (2004) 032113); the opposite one does not.
     """
-    if assignment not in (+1, -1):
-        raise ValueError(f"assignment must be +1 or -1, got {assignment}")
     base = chsh_settings()
-    r1 = roty(assignment * theta)
-    r2 = roty(-assignment * theta)
+    r1 = roty(theta)
+    r2 = roty(-theta)
 
     def rotate(r, op):
         return r @ op @ r.conj().T
@@ -236,9 +222,9 @@ def restored_settings(theta: float, assignment: int = RESTORATION_ASSIGNMENT) ->
     )
 
 
-def chsh_restored(s: np.ndarray, theta: float, assignment: int = RESTORATION_ASSIGNMENT) -> float:
-    """CHSH combination after both observers rotate their axes by -+theta."""
-    return chsh_value(s, restored_settings(theta, assignment))
+def chsh_restored(s: np.ndarray, theta: float) -> float:
+    """CHSH combination after the observers rotate their axes by +-theta (:func:`restored_settings`)."""
+    return chsh_value(s, restored_settings(theta))
 
 
 def same_ray(x: np.ndarray, y: np.ndarray, atol: float = 1e-10) -> bool:
@@ -292,7 +278,7 @@ def bell_report(alpha: float, xi: float, Phi: float) -> BellReport:
         xi=xi,
         Phi=Phi,
         theta=theta,
-        norm=state_norm(state),
+        norm=float(np.linalg.norm(state)),
         chsh_direct=chsh_direct(state),
         chsh_closed=float(chsh_closed_form(theta, xi)),
         chsh_restored=restored,
@@ -341,8 +327,8 @@ def bell_columns(alpha, xi, Phi) -> dict[str, np.ndarray]:
     amplitudes of :func:`final_state_closed_form`; the correlation matrix
     T_ij = <sigma^i (x) sigma^j> / norm^2 over the 1-3 plane, where both the
     fixed settings and the settings turned by +-theta lie; and the paper's
-    unnormalized :func:`chsh_closed_form`.  The restored settings use
-    :data:`RESTORATION_ASSIGNMENT`.
+    unnormalized :func:`chsh_closed_form`.  The restored settings are those
+    of :func:`restored_settings`.
 
     The inputs must lie in the domain that :func:`bell_report` enforces
     point by point; the caller validates them.  Raises ``ValueError`` if an
@@ -354,8 +340,8 @@ def bell_columns(alpha, xi, Phi) -> dict[str, np.ndarray]:
     norm2 = np.einsum("...p,...p->...", state, state)
     applied = (state @ _PLANE_CORRELATORS).reshape(state.shape[:-1] + (2, 2, 4))
     t = np.einsum("...ijq,...q->...ij", applied, state) / norm2[..., None, None]
-    # the observer at +Phi turns by RESTORATION_ASSIGNMENT * theta, the one at -Phi by the opposite angle
-    cos, sin = np.cos(RESTORATION_ASSIGNMENT * theta), np.sin(RESTORATION_ASSIGNMENT * theta)
+    # the observer at +Phi turns by +theta, the one at -Phi by -theta
+    cos, sin = np.cos(theta), np.sin(theta)
     a, a_prime, b, b_prime = _PLANE_SETTINGS
     restored = _chsh_of_correlations(
         t, _turned(a, cos, sin), _turned(a_prime, cos, sin), _turned(b, cos, -sin), _turned(b_prime, cos, -sin)

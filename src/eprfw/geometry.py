@@ -187,14 +187,14 @@ def _fd_step(pt: SpacetimePoint, h: float) -> float:
     return min(h, 0.5 * pt.rho)
 
 
-def christoffel_fd(geom: StringGeometry, pt: SpacetimePoint, h: float = 1e-5) -> np.ndarray:
+def christoffel_fd(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:
     """Christoffel symbols from central differences of the metric.
 
     Independent of :func:`christoffel_at`; step h = 1e-5 balances truncation
     against round-off for first derivatives in double precision.  Within
     2h of the axis the step is rho / 2.
     """
-    h = _fd_step(pt, h)
+    h = _fd_step(pt, 1e-5)
     dg = np.zeros((4, 4, 4))  # dg[sig, mu, nu] = d_sig g_{mu nu}
     for sig in range(4):
         gp = metric_at(geom, pt.shifted(sig, +h))
@@ -241,9 +241,9 @@ def spin_connection_at(
     return tet.e[..., None, :, :] @ cov  # e^a_nu cov[mu, nu, b], per mu
 
 
-def spin_connection_fd(geom: StringGeometry, pt: SpacetimePoint, h: float = 1e-5) -> np.ndarray:
+def spin_connection_fd(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:
     """Spin connection through the generic pipeline with finite-difference Christoffels."""
-    return spin_connection_at(geom, pt, gamma=christoffel_fd(geom, pt, h))
+    return spin_connection_at(geom, pt, gamma=christoffel_fd(geom, pt))
 
 
 def fw_connection_at(
@@ -276,14 +276,14 @@ def total_connection_at(
     return omega
 
 
-def riemann_at(geom: StringGeometry, pt: SpacetimePoint, h: float = 1e-4) -> np.ndarray:
+def riemann_at(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:
     """Riemann tensor R^lam_{mu nu kap} from finite differences of the Christoffels.
 
     Vanishes off the axis (all curvature is concentrated at rho = 0); the
     larger step h = 1e-4 suits the second-derivative round-off balance.
     Within 2h of the axis the step is rho / 2.
     """
-    h = _fd_step(pt, h)
+    h = _fd_step(pt, 1e-4)
     dgam = np.zeros((4, 4, 4, 4))  # dgam[sig, lam, mu, nu] = d_sig Gamma^lam_{mu nu}
     for sig in range(4):
         gp = christoffel_at(geom, pt.shifted(sig, +h))
@@ -296,42 +296,37 @@ def riemann_at(geom: StringGeometry, pt: SpacetimePoint, h: float = 1e-4) -> np.
 
 
 def transport_frame_vector(
-    geom: StringGeometry,
-    v: np.ndarray,
-    Phi: float,
-    rho: float = 1.0,
-    steps: int = 256,
+    geom: StringGeometry, v: np.ndarray, Phi: float, steps: int = 256
 ) -> tuple[np.ndarray, float]:
-    """Parallel-transport frame components of ``v`` along a circle of radius ``rho``.
+    """Parallel-transport frame components of ``v`` along the unit circle.
 
     Integrates dV^a/dphi = -omega_phi^a_b V^b over the arc [0, Phi] in
     ``steps`` midpoint sub-arcs with the path-ordered product engine of
     :mod:`eprfw.transport`, and returns the transported components and the
-    signed rotation angle in the (1, 3) plane.  Every step rotates that plane
-    and such rotations commute, so the unwrapped angle is the (1, 3) entry of
-    the sum of the step generators, however far one step turns; it is 0 when
-    ``v`` has no (1, 3) part to rotate.
+    signed rotation angle in the (1, 3) plane.  omega_phi does not depend on
+    rho in either geometry of this module, so the unit circle stands for
+    every radius.  Every step rotates the (1, 3) plane and such rotations
+    commute, so the unwrapped angle is the (1, 3) entry of the sum of the
+    step generators, however far one step turns; it is 0 when ``v`` has no
+    (1, 3) part to rotate.
     """
     from .transport import _path_ordered  # transport imports this module
 
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     v = np.asarray(v, dtype=float)
 
     def generator(phi):
-        return -spin_connection_at(geom, SpacetimePoint(rho=rho, phi=phi))[..., PHI, :, :]
+        return -spin_connection_at(geom, SpacetimePoint(rho=1.0, phi=phi))[..., PHI, :, :]
 
-    op, total = _path_ordered(generator, 0.0, Phi / steps, steps, _FRAME_PLANES, 4)
+    op, total = _path_ordered(generator, 0.0, Phi, steps, _FRAME_PLANES, 4)
     angle = float(total[1, 1, 0]) if v[1] or v[3] else 0.0  # generator of leg 1 into leg 3
     return op @ v, angle
 
 
-def holonomy_deficit_angle(geom: StringGeometry, Phi: float = 2.0 * math.pi, steps: int = 512) -> float:
-    """Deficit rotation of a frame vector carried around an arc Phi at rest.
+def holonomy_deficit_angle(geom: StringGeometry, steps: int = 512) -> float:
+    """Deficit rotation of a frame vector carried once around the string at rest.
 
-    The transport rotates the vector by -alpha*Phi in the (1, 3) plane; the
-    flat-space reference is -Phi, so the deficit is (1 - alpha) Phi, i.e.
-    2 pi (1 - alpha) for a full loop.
+    The transport rotates the vector by -2 pi alpha in the (1, 3) plane; the
+    flat-space reference is -2 pi, so the deficit is 2 pi (1 - alpha).
     """
-    _, angle = transport_frame_vector(geom, np.array([0.0, 1.0, 0.0, 0.0]), Phi, steps=steps)
-    return Phi + angle
+    _, angle = transport_frame_vector(geom, np.array([0.0, 1.0, 0.0, 0.0]), 2.0 * math.pi, steps=steps)
+    return 2.0 * math.pi + angle

@@ -80,7 +80,10 @@ def four_velocity(wl: CircularWorldline) -> np.ndarray:
 
 def _radial_acceleration(wl: CircularWorldline) -> float:
     # c**2 and sinh(xi)**2 stay finite inside the domain; the quotient and the
-    # product may overflow, which gives inf and no exception
+    # product may overflow, which gives inf and no exception.  At rest the
+    # result is -0.0, the bits of -(c^2 / rho) * 0.0, even where c^2 / rho overflows.
+    if wl.xi == 0.0:
+        return -0.0
     return -(wl.geom.c**2 / wl.rho) * math.sinh(wl.xi) ** 2
 
 

@@ -86,10 +86,13 @@ SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY2 = np.eye(2, dtype=complex)
 
-REPRESENTATIONS = ("spin-half", "dirac")
-
 # Row/column index pairs of the diagonal 2x2 blocks of each representation.
 _BLOCKS = {"spin-half": ((0, 1),), "dirac": ((0, 1), (2, 3))}
+
+REPRESENTATIONS = tuple(_BLOCKS)
+
+# Largest off-block magnitude that chiral_block accepts as block diagonal.
+_OFF_BLOCK_TOL = 1e-8
 
 # Steps per generator evaluation.  Bounds the per-chunk arrays: a connection
 # that varies along phi takes 512 bytes per step for each (4, 4, 4) array.
@@ -226,10 +229,12 @@ def _tree_product(x: np.ndarray) -> np.ndarray:
     return x[..., 0]
 
 
-def _path_ordered(generator, phi0: float, dphi: float, steps: int, blocks, n: int):
+def _path_ordered(generator, phi0: float, arc: float, steps: int, blocks, n: int):
     """Midpoint-rule product of the path's steps and the sum of their generators.
 
-    Step k runs from ``phi0 + k dphi`` to ``phi0 + (k + 1) dphi``.
+    The path is the signed azimuth ``arc`` from ``phi0``, split into
+    ``steps`` >= 1 sub-arcs of ``dphi = arc / steps``: step k runs from
+    ``phi0 + k dphi`` to ``phi0 + (k + 1) dphi``.
     ``generator(phi)`` receives the array of midpoint azimuths of one chunk
     and returns the generators per unit azimuth, ``(..., n, n)`` broadcasting
     to ``(len(phi), n, n)`` and block diagonal in the index pairs ``blocks``.
@@ -238,20 +243,26 @@ def _path_ordered(generator, phi0: float, dphi: float, steps: int, blocks, n: in
 
     Returns the ``(n, n)`` product, later steps on the left, and the
     ``(B, 2, 2)`` diagonal blocks of the sum of every step's generator times
-    ``dphi``.  Raises ``ValueError`` if the product is not finite.
+    ``dphi``.  Raises ``ValueError`` if ``steps`` < 1 or if the product is not
+    finite; an overflow in the engine's own arithmetic raises nothing else.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    dphi = arc / steps
     op, total, start = None, 0.0, 0
     while start < steps:
         phi = phi0 + (np.arange(start, min(start + _CHUNK, steps)) + 0.5) * dphi
-        gen = _split_blocks(generator(phi) * dphi, blocks)
-        if gen.ndim == 3:  # (B, 2, 2): constant along phi
-            stack, repeat = gen[None], steps - start
-        else:
-            stack, repeat = np.broadcast_to(gen, phi.shape + gen.shape[-3:]), 1
-        exps = _expm_traceless(stack).transpose(2, 3, 1, 0)  # exps[i, j, b, k]
-        part = _power(_tree_product(exps), repeat).transpose(2, 0, 1)
-        op = part if op is None else part @ op
-        total = total + repeat * stack.sum(axis=0)
+        gen = generator(phi)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the finiteness check below reports it
+            gen = _split_blocks(gen * dphi, blocks)
+            if gen.ndim == 3:  # (B, 2, 2): constant along phi
+                stack, repeat = gen[None], steps - start
+            else:
+                stack, repeat = np.broadcast_to(gen, phi.shape + gen.shape[-3:]), 1
+            exps = _expm_traceless(stack).transpose(2, 3, 1, 0)  # exps[i, j, b, k]
+            part = _power(_tree_product(exps), repeat).transpose(2, 0, 1)
+            op = part if op is None else part @ op
+            total = total + repeat * stack.sum(axis=0)
         start += len(stack) * repeat
     if not np.isfinite(op).all():
         raise ValueError("path-ordered product is not finite; the connection overflows on this path")
@@ -264,13 +275,12 @@ class TransportParams:
 
     ``eta1``/``eta2`` carry the particle's orbital sense (both flip for the
     partner sent toward -Phi); ``theta`` = alpha Phi cosh(xi) is the
-    sense-independent precession angle and ``gamma`` = i theta satisfies
-    gamma^2 = eta1^2 - eta2^2.
+    sense-independent precession angle.  The module docstring's gamma is
+    i theta: gamma^2 = eta1^2 - eta2^2 = -theta^2.
     """
 
     eta1: float
     eta2: float
-    gamma: complex
     theta: float
 
 
@@ -294,7 +304,7 @@ def transport_params(wl: CircularWorldline, Phi: float) -> TransportParams:
     if not (math.isfinite(eta1 + eta2) and math.isfinite(eta1 - eta2)):
         raise ValueError(f"transport parameters overflow at alpha={alpha}, xi={wl.xi}, Phi={Phi}")
     theta = float(wigner_angle(alpha, wl.xi, Phi))
-    return TransportParams(eta1=eta1, eta2=eta2, gamma=1j * theta, theta=theta)
+    return TransportParams(eta1=eta1, eta2=eta2, theta=theta)
 
 
 def _gamma_matrix(params: TransportParams) -> np.ndarray:
@@ -342,13 +352,11 @@ def transport_from_connection(
     is one step with a repeat count over the whole path: the hook is then
     called once, with the first chunk's midpoints.  The connection functions
     of :mod:`eprfw.geometry` all behave this way.
-    Raises ``ValueError`` if the product is not finite.
+    Raises ``ValueError`` if ``steps`` < 1 or if the product is not finite.
 
     The azimuth is continued with its sign, so the partner particle
     (direction = -1) is transported toward -Phi; see the module docstring.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
     _check_azimuth(Phi)
     if connection_fn is None:
         connection_fn = total_connection_at
@@ -358,7 +366,6 @@ def transport_from_connection(
     sig_flat = sig.reshape(16, dim * dim)
     accel = proper_acceleration(wl)
     ch, sh = math.cosh(wl.xi), math.sinh(wl.xi)
-    dphi = wl.direction * Phi / steps
 
     def generator(phi):
         omega = connection_fn(geom, SpacetimePoint(rho=wl.rho, phi=phi), accel)
@@ -376,13 +383,13 @@ def transport_from_connection(
         lead = wab.shape[:-2]
         return -0.5j * (wab.reshape(lead + (16,)) @ sig_flat).reshape(lead + (dim, dim))
 
-    return _path_ordered(generator, phi0, dphi, steps, _BLOCKS[representation], dim)[0]
+    return _path_ordered(generator, phi0, wl.direction * Phi, steps, _BLOCKS[representation], dim)[0]
 
 
-def chiral_block(d: np.ndarray, which: str = "right", tol: float = 1e-8) -> np.ndarray:
+def chiral_block(d: np.ndarray, which: str = "right") -> np.ndarray:
     """Extract one 2x2 diagonal block of a block-diagonal 4x4 operator.
 
-    Raises if the off-diagonal blocks carry more than ``tol`` in magnitude.
+    Raises if the off-diagonal blocks carry more than 1e-8 in magnitude.
     The ``right`` (lower) block of a Dirac transport is the one that matches
     the spin-half closed form.
     """
@@ -390,8 +397,8 @@ def chiral_block(d: np.ndarray, which: str = "right", tol: float = 1e-8) -> np.n
     if d.shape != (4, 4):
         raise ValueError(f"expected a 4x4 operator, got shape {d.shape}")
     off = max(np.abs(d[:2, 2:]).max(), np.abs(d[2:, :2]).max())
-    if off > tol:
-        raise ValueError(f"not block diagonal: off-block magnitude {off:.3e} exceeds {tol:.3e}")
+    if off > _OFF_BLOCK_TOL:
+        raise ValueError(f"not block diagonal: off-block magnitude {off:.3e} exceeds {_OFF_BLOCK_TOL:.3e}")
     if which == "left":
         return d[:2, :2].copy()
     if which == "right":

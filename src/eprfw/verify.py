@@ -177,10 +177,9 @@ def check_velocity_normalization() -> CheckResult:
     err = 0.0
     for wl in _worldlines():
         g = geometry.metric_at(wl.geom, wl.point())
-        u = kinematics.four_velocity(wl)
         a = kinematics.proper_acceleration(wl)
-        err = max(err, abs(u @ g @ u + wl.geom.c**2))
-        err = max(err, abs(u @ g @ a))
+        err = max(err, abs(kinematics.velocity_norm(wl) + wl.geom.c**2))
+        err = max(err, abs(kinematics.four_velocity(wl) @ g @ a))
     return _gated("velocity_norm_and_orthogonality", 1e-12, err)
 
 
@@ -212,7 +211,7 @@ def check_gamma_matrix_square() -> CheckResult:
     err = 0.0
     for params in _params_grid():
         gam = transport._gamma_matrix(params)
-        err = max(err, np.abs(gam @ gam - (params.gamma**2) * np.eye(2)).max())
+        err = max(err, np.abs(gam @ gam + params.theta**2 * np.eye(2)).max())  # gamma^2 = -theta^2
     return _gated("gamma_matrix_square_identity", 1e-12, err)
 
 
@@ -246,13 +245,13 @@ def check_numeric_fixed_coefficients(steps: int = 4096) -> CheckResult:
     return _gated("numeric_transport_fixed_coefficients", 1e-10, err, note=f"N={steps}")
 
 
-def convergence_errors(ns=(16, 32, 64, 128, 256, 512, 1024), steps_ref: int = 32768):
-    """Integrator errors vs a dense reference in the variable-coefficient mode."""
+def convergence_errors():
+    """Integrator errors at N = 16, 32, ..., 1024 vs an N = 32768 reference in the variable-coefficient mode."""
     geom = PhiModulatedGeometry(alpha=0.5, epsilon=0.4, k=1)
     wl = CircularWorldline(geom, rho=2.0, xi=math.asinh(0.75))
     Phi = math.pi
-    ref = transport.transport_from_connection(wl, Phi, steps_ref)
-    return [float(np.abs(transport.transport_from_connection(wl, Phi, n) - ref).max()) for n in ns]
+    ref = transport.transport_from_connection(wl, Phi, 32768)
+    return [float(np.abs(transport.transport_from_connection(wl, Phi, 2**k) - ref).max()) for k in range(4, 11)]
 
 
 def check_integrator_convergence() -> CheckResult:

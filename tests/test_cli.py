@@ -222,6 +222,14 @@ def test_degrees_flag_converts_phi(tmp_path):
     assert out_deg.read_bytes() == out_rad.read_bytes()
 
 
+def test_degrees_leaves_the_default_phi_in_radians(capsys):
+    assert RunConfig(degrees=True).validate().phi == math.pi
+    assert run(["bell", "--degrees"]) == EXIT_OK
+    with_degrees = capsys.readouterr().out
+    assert run(["bell"]) == EXIT_OK
+    assert with_degrees == capsys.readouterr().out
+
+
 def test_degrees_applies_to_phi_sweep_bounds(capsys):
     assert run(["bell", "--xi", "0", "--sweep", "phi:0:180:3", "--degrees"]) == EXIT_OK
     rows = capsys.readouterr().out.strip().splitlines()[1:]
@@ -268,9 +276,11 @@ def test_config_file_and_flag_give_equal_runs(name, tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(f"{name} = {text}\n")
     flag = ["--degrees"] if name == "degrees" else [f"--{name}", text]
-    from_file = bell_config(["--config", str(path)])
-    assert from_file == bell_config(flag)
-    assert from_file != bell_config([])
+    # degrees converts only a given phi: its runs and their reference give one
+    base = ["--phi", FILE_AND_FLAG_VALUES["phi"]] if name == "degrees" else []
+    from_file = bell_config(["--config", str(path), *base])
+    assert from_file == bell_config([*flag, *base])
+    assert from_file != bell_config(base)
 
 
 # -------------------------------------------------------------- exit codes
@@ -494,6 +504,19 @@ def test_large_acceleration_inside_the_domain_runs():
     # c^2 sinh^2(xi) / rho = 6.9e307: finite, though the boost components reach 6.9e153
     proc = subprocess.run(
         [sys.executable, "-m", "eprfw", "geometry", "--c", "1e154", "--xi", "1"], capture_output=True, text=True
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr == ""
+    numbers = printed_numbers(proc.stdout)
+    assert numbers and all(math.isfinite(x) for x in numbers)
+
+
+def test_rest_where_c2_over_rho_overflows_runs():
+    # at xi = 0 the acceleration is zero without forming c^2 / rho = 1e313
+    proc = subprocess.run(
+        [sys.executable, "-m", "eprfw", "geometry", "--c", "1e154", "--rho", "1e-5", "--xi", "0"],
+        capture_output=True,
+        text=True,
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stderr == ""

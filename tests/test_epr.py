@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprfw.epr import (
-    RESTORATION_ASSIGNMENT,
     bell_columns,
     bell_decomposition,
     bell_report,
@@ -25,7 +24,6 @@ from eprfw.epr import (
     restored_settings,
     roty,
     same_ray,
-    state_norm,
 )
 from eprfw.epr import _kron2
 from eprfw.geometry import StringGeometry
@@ -40,6 +38,7 @@ from eprfw.transport import (
     wigner_angle,
 )
 from eprfw.verify import ALPHAS, PHIS, SINH_XIS, TWO_SQRT2
+from eprfw.verify import _closed_pair as evolved_state
 
 
 def transport_pair(alpha, xi, Phi):
@@ -49,11 +48,6 @@ def transport_pair(alpha, xi, Phi):
         wl = CircularWorldline(geom, rho=1.0, xi=xi, direction=direction)
         ops.append(transport_closed_form(transport_params(wl, Phi)))
     return ops
-
-
-def evolved_state(alpha, xi, Phi):
-    plus, minus = transport_pair(alpha, xi, Phi)
-    return evolve_pair(initial_state(), plus, minus)
 
 
 # ------------------------------------------------------------- Bell basis
@@ -84,7 +78,7 @@ def test_singlet_anticorrelation():
 
 def test_initial_state_is_singlet():
     assert np.allclose(initial_state(), bell_states().psi_minus)
-    assert state_norm(initial_state()) == pytest.approx(1.0, abs=1e-15)
+    assert np.linalg.norm(initial_state()) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("axis", [SIGMA1, SIGMA2, SIGMA3, (SIGMA1 + SIGMA3) / math.sqrt(2)])
@@ -139,7 +133,7 @@ def test_swapped_roles_are_the_mirror_branch():
     alpha, xi, Phi = 0.5, math.asinh(0.75), math.pi / 2
     plus, minus = transport_pair(alpha, xi, Phi)
     swapped = evolve_pair(initial_state(), minus, plus)
-    assert np.abs(swapped - final_state_closed_form(alpha, xi, Phi, branch=-1)).max() <= 1e-12
+    assert np.abs(swapped - final_state_closed_form(alpha, xi, -Phi)).max() <= 1e-12
 
 
 def test_flipping_only_the_rotation_leg_is_rejected():
@@ -152,7 +146,7 @@ def test_flipping_only_the_rotation_leg_is_rejected():
     from eprfw.transport import TransportParams
 
     wrong_minus = TransportParams(
-        eta1=params.eta1, eta2=-params.eta2, gamma=params.gamma, theta=params.theta
+        eta1=params.eta1, eta2=-params.eta2, theta=params.theta
     )
     state = evolve_pair(
         initial_state(),
@@ -169,7 +163,7 @@ def test_flipping_only_the_rotation_leg_is_rejected():
 def test_closed_form_without_precession():
     state = final_state_closed_form(0.5, 1.2, 0.0)
     assert np.allclose(state, bell_states().psi_minus, atol=1e-15)
-    assert state_norm(state) == pytest.approx(1.0, abs=1e-14)
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_closed_form_quarter_turn_ray():
@@ -183,15 +177,10 @@ def test_closed_form_norm():
     theta = wigner_angle(0.5, xi, math.pi)
     state = final_state_closed_form(0.5, xi, math.pi)
     expected = math.cos(theta) ** 2 + math.sin(theta) ** 2 * (0.75**2 + 1.25**2)
-    assert state_norm(state) ** 2 == pytest.approx(expected, rel=1e-12)
-    assert state_norm(state) ** 2 == pytest.approx(
+    assert np.linalg.norm(state) ** 2 == pytest.approx(expected, rel=1e-12)
+    assert np.linalg.norm(state) ** 2 == pytest.approx(
         math.cos(theta) ** 2 + math.sin(theta) ** 2 * math.cosh(2 * xi), rel=1e-12
     )
-
-
-def test_closed_form_branch_validation():
-    with pytest.raises(ValueError):
-        final_state_closed_form(0.5, 0.0, 1.0, branch=0)
 
 
 def test_closed_form_rest_frame_decomposition():
@@ -293,7 +282,7 @@ def test_boosted_closed_form_equals_unnormalized_direct():
     state = evolved_state(0.5, xi, math.pi)
     theta = wigner_angle(0.5, xi, math.pi)
     assert chsh_closed_form(theta, xi) == pytest.approx(
-        chsh_direct(state) * state_norm(state) ** 2, rel=1e-10
+        chsh_direct(state) * np.linalg.norm(state) ** 2, rel=1e-10
     )
 
 
@@ -316,20 +305,15 @@ def test_restoration_rest_frame(alpha, Phi):
 
 
 def test_restoration_assignment_selection():
-    # the frozen assignment is the one that restores the maximum at xi = 0;
-    # the opposite assignment must not restore a generic angle
+    # turning the observer at +Phi by +theta restores the maximum at xi = 0;
+    # the opposite sense must not restore a generic angle
     alpha, Phi = 0.7, 1.1
     state = evolved_state(alpha, 0.0, Phi)
     theta = alpha * Phi
-    chosen = chsh_restored(state, theta, RESTORATION_ASSIGNMENT)
-    opposite = chsh_restored(state, theta, -RESTORATION_ASSIGNMENT)
+    chosen = chsh_restored(state, theta)
+    opposite = chsh_restored(state, -theta)
     assert chosen == pytest.approx(TWO_SQRT2, abs=1e-10)
     assert chosen > opposite + 1e-3
-
-
-def test_restoration_assignment_validation():
-    with pytest.raises(ValueError):
-        restored_settings(0.3, assignment=0)
 
 
 def test_restored_residual_reported_at_boost():
