@@ -19,12 +19,12 @@ import numpy as np
 
 from eprfw import (
     CircularWorldline,
-    PhiModulatedGeometry,
     StringGeometry,
     chiral_block,
     transport,
     transport_closed_form,
     transport_params,
+    verify,
     wigner_angle,
 )
 from eprfw.transport import rotation_angle
@@ -66,13 +66,10 @@ full_loop = transport_closed_form(
 )
 print(f"  full flat loop: Xi = -I (spinor double cover), max |Xi + I| = {np.abs(full_loop + np.eye(2)).max():.2e}")
 
-print("\nconvergence study in the modulated mode (second-order midpoint product):")
-mod = PhiModulatedGeometry(alpha=0.5, epsilon=0.4, k=1)
-wl_mod = CircularWorldline(mod, rho=2.0, xi=math.asinh(0.75))
-ref = transport.transport_from_connection(wl_mod, Phi, steps=32768)
+print("\nconvergence study in the modulated mode (second-order midpoint product")
+print("against the fourth-order Richardson reference (4 X(2048) - X(1024)) / 3):")
 previous = None
-for n in (16, 32, 64, 128, 256, 512, 1024):
-    err = np.abs(transport.transport_from_connection(wl_mod, Phi, n) - ref).max()
+for n, err in zip((16, 32, 64, 128, 256, 512, 1024), verify.convergence_errors()):
     ratio = "" if previous is None else f"   ratio {previous / err:4.2f}"
     print(f"  N = {n:5d}: error {err:.3e}{ratio}")
     previous = err

@@ -94,6 +94,11 @@ REPRESENTATIONS = tuple(_BLOCKS)
 # Largest off-block magnitude that chiral_block accepts as block diagonal.
 _OFF_BLOCK_TOL = 1e-8
 
+# Largest error bound theta * 2^-52 on cos and sin of the precession angle
+# that transport_params accepts: the loosest transport tolerance checked
+# anywhere, the Dirac block's (see check_dirac_chiral_block).
+_THETA_ERROR_MAX = 1e-8
+
 # Steps per generator evaluation.  Bounds the per-chunk arrays: a connection
 # that varies along phi takes 512 bytes per step for each (4, 4, 4) array.
 _CHUNK = 1024
@@ -293,7 +298,9 @@ def transport_params(wl: CircularWorldline, Phi: float) -> TransportParams:
     """Transport parameters for sweeping a finite azimuth ``Phi`` >= 0 along ``wl``.
 
     Raises ``ValueError`` when the entries eta1 +- eta2 of Gamma overflow,
-    which large ``Phi`` at large rapidity can make happen.
+    which large ``Phi`` at large rapidity can make happen, and when theta =
+    alpha Phi cosh(xi) is so large that cos(theta/2) and sin(theta/2) carry an
+    error bound theta * 2^-52 above ``_THETA_ERROR_MAX``.
     """
     _check_azimuth(Phi)
     alpha = wl.geom.alpha
@@ -304,6 +311,11 @@ def transport_params(wl: CircularWorldline, Phi: float) -> TransportParams:
     if not (math.isfinite(eta1 + eta2) and math.isfinite(eta1 - eta2)):
         raise ValueError(f"transport parameters overflow at alpha={alpha}, xi={wl.xi}, Phi={Phi}")
     theta = float(wigner_angle(alpha, wl.xi, Phi))
+    if theta * 2.0**-52 > _THETA_ERROR_MAX:
+        raise ValueError(
+            f"precession angle too large to evaluate: theta = alpha Phi cosh(xi) = {theta:.3e} "
+            f"at alpha={alpha}, xi={wl.xi}, Phi={Phi} (theta * 2^-52 must not exceed {_THETA_ERROR_MAX:g})"
+        )
     return TransportParams(eta1=eta1, eta2=eta2, theta=theta)
 
 

@@ -246,12 +246,21 @@ def check_numeric_fixed_coefficients(steps: int = 4096) -> CheckResult:
 
 
 def convergence_errors():
-    """Integrator errors at N = 16, 32, ..., 1024 vs an N = 32768 reference in the variable-coefficient mode."""
+    """Integrator errors at N = 16, 32, ..., 1024 in the variable-coefficient mode.
+
+    The products X(N) at N = 16, ..., 2048 are formed once.  The exponential
+    midpoint rule is symmetric, so its global error expands in even powers of
+    the step (Gragg, SIAM J. Numer. Anal. 2 (1965) 384), and one Richardson
+    step on the two finest products, (4 X(2048) - X(1024)) / 3, is a
+    fourth-order reference.  Each error is the largest entry of |X(N) - ref|
+    for N <= 1024.
+    """
     geom = PhiModulatedGeometry(alpha=0.5, epsilon=0.4, k=1)
     wl = CircularWorldline(geom, rho=2.0, xi=math.asinh(0.75))
     Phi = math.pi
-    ref = transport.transport_from_connection(wl, Phi, 32768)
-    return [float(np.abs(transport.transport_from_connection(wl, Phi, 2**k) - ref).max()) for k in range(4, 11)]
+    products = [transport.transport_from_connection(wl, Phi, 2**k) for k in range(4, 12)]
+    ref = (4.0 * products[-1] - products[-2]) / 3.0
+    return [float(np.abs(x - ref).max()) for x in products[:-1]]
 
 
 def check_integrator_convergence() -> CheckResult:
@@ -263,7 +272,7 @@ def check_integrator_convergence() -> CheckResult:
         if errors[i + 1] > floor
     ]
     worst = min(ratios, default=0.0)  # no error above the floor measures no order: fail
-    bound = 1.9
+    bound = 3.5  # an observed order of at least 1.8; a first-order product measures about 2
     return CheckResult(
         "integrator_convergence_order", bound, worst, worst >= bound,
         note="threshold is a lower bound on the error ratio per step doubling",

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from eprfw import epr, verify
+from eprfw import epr, transport, verify
 from eprfw.cli import main
 
 
@@ -48,6 +48,20 @@ def test_integrator_convergence_fails_without_usable_ratios(monkeypatch):
     # every error at or below the round-off floor leaves no ratio to gate
     monkeypatch.setattr(verify, "convergence_errors", lambda: [1e-11] * 7)
     assert not verify.check_integrator_convergence().passed
+
+
+def test_integrator_convergence_catches_a_first_order_product(monkeypatch):
+    # starting every product half a step early puts each step's generator at
+    # the left end of its sub-arc of [0, Phi]: a first-order rule
+    exact = transport.transport_from_connection
+
+    def left_endpoint(wl, Phi, steps):
+        return exact(wl, Phi, steps, phi0=-wl.direction * Phi / (2 * steps))
+
+    monkeypatch.setattr(transport, "transport_from_connection", left_endpoint)
+    result = verify.check_integrator_convergence()
+    assert not result.passed, result.line()
+    assert result.observed < 2.5
 
 
 def test_criterion_05_dirac_consistency():

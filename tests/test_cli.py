@@ -299,7 +299,8 @@ def test_config_file_and_flag_give_equal_runs(name, tmp_path):
         ["bell", "--format", "csv", "--steps", "0"],
         ["transport", "--xi", "-1"],
         # input outside the domain: non-finite values, xi > XI_MAX,
-        # eta1 +- eta2 overflow, and overflow or underflow inside the geometry
+        # eta1 +- eta2 overflow, theta with no accurate digit of cos and sin,
+        # and overflow or underflow inside the geometry
         ["bell", "--c", "nan"],
         ["bell", "--rho", "nan"],
         ["bell", "--xi", "nan"],
@@ -310,6 +311,7 @@ def test_config_file_and_flag_give_equal_runs(name, tmp_path):
         ["bell", "--xi", "400"],
         ["bell", "--xi", "350", "--phi", "1e6"],
         ["bell", "--alpha", "1", "--xi", "182.7", "--phi", "1e150"],
+        ["transport", "--xi", "350"],
         ["geometry", "--rho", "1e200"],
         ["transport", "--rho", "1e300", "--xi", "1"],
         ["geometry", "--c", "1e300", "--xi", "1"],
@@ -320,6 +322,7 @@ def test_config_file_and_flag_give_equal_runs(name, tmp_path):
         ["bell", "--sweep", "alpha:0:1:5"],
         ["bell", "--sweep", "alpha:0.5:1.5:3"],
         ["bell", "--sweep", "xi:0:400:3"],
+        ["bell", "--sweep", "xi:0:20:3"],
         ["bell", "--sweep", "phi:-1:1:3"],
         ["bell", "--alpha", "1", "--xi", "182.7", "--sweep", "phi:0:1e150:3"],
         # bad flag values, and given values no command uses

@@ -148,6 +148,15 @@ def test_transport_params_at_rest():
     assert params.theta == pytest.approx(0.5 * math.pi, abs=1e-15)
 
 
+def test_transport_params_reject_theta_beyond_trig_accuracy():
+    # at rest with alpha = 1, theta = Phi exactly, so the bound is hit to the bit
+    wl = CircularWorldline(StringGeometry(1.0), rho=1.0, xi=0.0)
+    largest = 1e-8 * 2.0**52
+    assert transport_params(wl, largest).theta == largest
+    with pytest.raises(ValueError, match=r"theta = alpha Phi cosh\(xi\) = .* at alpha=1.0, xi=0.0, Phi="):
+        transport_params(wl, math.nextafter(largest, math.inf))
+
+
 @pytest.mark.parametrize("params", params_grid())
 def test_gamma_squared_identity(params):
     gamma2 = -(params.theta**2)  # gamma = i theta
@@ -294,10 +303,17 @@ def variable_mode_worldline():
 def test_numeric_convergence_is_second_order():
     errors = verify.convergence_errors()
     assert errors[0] > 1e-6  # the perturbation actually bites
-    for e_n, e_2n in zip(errors, errors[1:]):
-        if e_2n <= 1e-10:
-            break
-        assert e_n / e_2n >= 1.9
+    result = verify.check_integrator_convergence()
+    assert result.passed, result.line()
+
+
+def test_convergence_reference_is_fourth_order_accurate():
+    # a finer Richardson pair, (4 X(2^14) - X(2^13)) / 3, must see the same
+    # errors: the study's reference is then far below what it measures
+    wl = variable_mode_worldline()
+    fine = (4.0 * transport_from_connection(wl, math.pi, 2**14) - transport_from_connection(wl, math.pi, 2**13)) / 3.0
+    for k, error in zip(range(4, 11), verify.convergence_errors(), strict=True):
+        assert abs(error - np.abs(transport_from_connection(wl, math.pi, 2**k) - fine).max()) <= 1e-12
 
 
 def test_variable_mode_requires_path_ordering():
