@@ -10,6 +10,15 @@ and phi sweep bounds converted to radians.  Numbers are serialized with 17
 significant digits so that parsing an emitted file reproduces them exactly;
 identical configurations produce byte-identical output.
 
+``bell`` streams its CSV: it evaluates the sweep ``_CHUNK`` points at a time
+and writes each chunk's lines as soon as they are formatted, so its memory
+does not grow with the number of points.  A first pass evaluates every chunk
+and keeps nothing, so a column that is not finite exits 2 before anything is
+written.  ``_csv_rows`` is the one CSV formatter, behind this stream and
+``render_bell``; since a point's values do not depend on how many points share
+its evaluation, the chunked file equals the file of one unchunked evaluation.
+JSON output is built whole.
+
 Exit codes: 0 success, 1 check failure, 2 usage error (a bad option value,
 input outside the domain, or overflow or underflow that input causes; each is
 one ``eprfw: error:`` line), 3 I/O error.
@@ -21,8 +30,8 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
-from operator import itemgetter
 
 import numpy as np
 
@@ -37,7 +46,11 @@ BELL_COLUMNS = (
     "chsh_direct", "chsh_closed", "chsh_restored", "restored_residual",
 )
 
+_CSV_HEADER = ",".join(BELL_COLUMNS) + "\n"
+
 SWEEP_VARS = ("alpha", "xi", "phi")
+
+_CHUNK = 2**14  # sweep points per chunk of a streamed bell CSV
 
 
 class UsageError(ValueError):
@@ -177,12 +190,19 @@ def sweep_points(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.broadcast_arrays(*np.atleast_1d(values["alpha"], values["xi"], values["phi"])))
 
 
-def _write_text(cfg: RunConfig, text: str) -> None:
+@contextmanager
+def _output(cfg: RunConfig):
+    """The run's text stream: the ``--out`` file, opened only when entered, or stdout."""
     if cfg.out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write_text(cfg: RunConfig, text: str) -> None:
+    with _output(cfg) as fh:
+        fh.write(text)
 
 
 def _config_echo(cfg: RunConfig) -> dict:
@@ -259,12 +279,32 @@ def bell_rows(cfg: RunConfig) -> list[dict]:
     return [dict(zip(BELL_COLUMNS, row)) for row in zip(*(columns[col].tolist() for col in BELL_COLUMNS))]
 
 
+def _csv_rows(columns) -> str:
+    """The CSV lines, one per point, of equal-length columns in ``BELL_COLUMNS`` order.
+
+    Every value is written as ``"%.17g"``, exactly as :func:`_fmt` writes it.
+    A column whose entries all have the same bits (so ``-0.0`` and ``0.0``
+    differ) is formatted once; the other columns are formatted with one
+    ``%`` over the whole block.
+    """
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    if not len(columns[0]):
+        return ""
+    fields, varying = [], []
+    for column in columns:
+        bits = column.view(np.int64)
+        if (bits == bits[0]).all():
+            fields.append(_fmt(column[0]))
+        else:
+            fields.append("%.17g")
+            varying.append(column)
+    block = (",".join(fields) + "\n") * len(columns[0])
+    return block % tuple(np.column_stack(varying).ravel().tolist()) if varying else block
+
+
 def render_bell(cfg: RunConfig, rows: list[dict]) -> str:
     if cfg.format == "csv":
-        # "%.17g" formats a float exactly as _fmt does
-        line = ",".join(["%.17g"] * len(BELL_COLUMNS))
-        values = itemgetter(*BELL_COLUMNS)
-        return "\n".join([",".join(BELL_COLUMNS)] + [line % values(row) for row in rows]) + "\n"
+        return _CSV_HEADER + _csv_rows([[row[col] for row in rows] for col in BELL_COLUMNS])
     payload = {
         "version": __version__,
         "config": _config_echo(cfg),
@@ -273,8 +313,25 @@ def render_bell(cfg: RunConfig, rows: list[dict]) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _chunks(cfg: RunConfig):
+    """The (alpha, xi, Phi) arrays of the run's sweep points, ``_CHUNK`` points at a time."""
+    points = sweep_points(cfg)
+    for start in range(0, len(points[0]), _CHUNK):
+        yield tuple(values[start:start + _CHUNK] for values in points)
+
+
 def cmd_bell(cfg: RunConfig) -> int:
-    _write_text(cfg, render_bell(cfg, bell_rows(cfg)))
+    if cfg.format == "json":
+        _write_text(cfg, render_bell(cfg, bell_rows(cfg)))
+        return EXIT_OK
+    # a first pass keeps nothing: a column that is not finite raises before --out is opened
+    for chunk in _chunks(cfg):
+        epr.bell_columns(*chunk)
+    with _output(cfg) as fh:
+        fh.write(_CSV_HEADER)
+        for chunk in _chunks(cfg):
+            columns = epr.bell_columns(*chunk)
+            fh.write(_csv_rows([columns[name] for name in BELL_COLUMNS]))
     return EXIT_OK
 
 

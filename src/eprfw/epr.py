@@ -311,9 +311,18 @@ def _chsh_of_correlations(t, a, a_prime, b, b_prime) -> np.ndarray:
 
     ``t[..., i, j]`` are correlation matrices over the 1-3 plane and the
     settings their 1-3 plane components, ``(2,)`` or stacked like ``t``.
+
+    E is written out as the sum of u_i t_ij v_j, each product formed left to
+    right and the terms added in (i, j) order, as ``np.einsum`` orders them
+    for a stack of points.  A three-operand einsum takes another loop when
+    the stack holds one point and changes the last bits, so the written-out
+    sum is what makes a point's value independent of how many points share
+    its call: a single point equals the same point inside a sweep, and a
+    sweep evaluated in chunks equals the sweep in one call.
     """
     def e(u, v):
-        return np.einsum("...i,...ij,...j->...", u, t, v)
+        u0, u1, v0, v1 = u[..., 0], u[..., 1], v[..., 0], v[..., 1]
+        return u0 * t[..., 0, 0] * v0 + u0 * t[..., 0, 1] * v1 + u1 * t[..., 1, 0] * v0 + u1 * t[..., 1, 1] * v1
 
     return np.abs(e(a, b + b_prime) + e(a_prime, b - b_prime))
 

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -24,10 +25,12 @@ from eprfw.cli import (
     OPTIONS,
     SWEEP_VARS,
     RunConfig,
+    _CHUNK as CHUNK,
     _fmt,
     bell_rows,
     build_config,
     build_parser,
+    cmd_bell,
     main,
     read_config_file,
     render_bell,
@@ -145,6 +148,90 @@ def test_bell_csv_rows_format_each_value_as_fmt():
     rows = [dict(zip(BELL_COLUMNS, values[k:] + values[:k])) for k in range(len(values))]
     lines = render_bell(RunConfig(), rows).splitlines()
     assert lines[1:] == [",".join(_fmt(row[col]) for col in BELL_COLUMNS) for row in rows]
+
+
+def test_bell_csv_keeps_the_sign_of_zero():
+    signs = (0.0, -0.0, 0.0)
+    rows = [
+        dict(zip(BELL_COLUMNS, (mixed, -0.0, 0.0, k, 1.0, 2.0, 3.0, 4.0, 5.0)))
+        for k, mixed in enumerate(signs)
+    ]
+    lines = render_bell(RunConfig(), rows).splitlines()[1:]
+    assert [line.split(",")[:3] for line in lines] == [["0", "-0", "0"], ["-0", "-0", "0"], ["0", "-0", "0"]]
+
+
+def per_row_csv(rows):
+    """The CSV of ``rows`` formatted one row at a time, each value as "%.17g"."""
+    line = ",".join(["%.17g"] * len(BELL_COLUMNS))
+    return "\n".join([",".join(BELL_COLUMNS)] + [line % tuple(row[col] for col in BELL_COLUMNS) for row in rows]) + "\n"
+
+
+SWEEP_RANGES = {"alpha": "0.1:1", "xi": "0:3", "phi": "0:6"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--xi", "0.7", "--sweep", f"{var}:{SWEEP_RANGES[var]}:{count}"]
+        for var in SWEEP_VARS
+        for count in (1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
+    ]
+    + [
+        ["--xi", "0.4", "--sweep", f"phi:0:360:{CHUNK + 1}", "--degrees"],
+        ["--beta", "0.6", "--sweep", f"alpha:0.2:0.9:{2 * CHUNK + 1}"],
+        ["--beta", "0.6", "--phi", "100", "--degrees"],
+    ],
+)
+def test_streamed_bell_csv_equals_the_per_row_render(argv, tmp_path):
+    # the xi:0:3 sweep of 2 * CHUNK + 1 = 32769 points ends in a one-point chunk
+    out = tmp_path / "bell.csv"
+    assert run(["bell", *argv, "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == per_row_csv(bell_rows(bell_config(argv)))
+
+
+@pytest.mark.parametrize("alpha, xi, phi", [(0.5, 0.7, 2.0), (0.3, 1.9, 5.1), (1.0, 0.05, 0.4)])
+def test_single_point_prints_the_row_it_has_inside_a_sweep(alpha, xi, phi, capsys):
+    point = ["bell", "--alpha", str(alpha), "--xi", str(xi)]
+    assert run([*point, "--phi", str(phi)]) == EXIT_OK
+    single = capsys.readouterr().out.splitlines()
+    assert run([*point, "--sweep", f"phi:{phi}:{phi}:2"]) == EXIT_OK
+    swept = capsys.readouterr().out.splitlines()
+    assert len(single) == 2
+    assert swept == [single[0], single[1], single[1]]
+
+
+def test_bell_writes_nothing_when_a_later_chunk_fails(monkeypatch, tmp_path, capsys):
+    bell_columns, calls = epr.bell_columns, []
+
+    def failing_on_the_second_chunk(*points):
+        calls.append(len(points[0]))
+        if len(calls) == 2:
+            raise ValueError("bell column norm is not finite at some point")
+        return bell_columns(*points)
+
+    monkeypatch.setattr(epr, "bell_columns", failing_on_the_second_chunk)
+    out = tmp_path / "bell.csv"
+    assert run(["bell", "--sweep", f"phi:0:6:{CHUNK + 1}", "--out", str(out)]) == EXIT_USAGE
+    assert calls == [CHUNK, 1]
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("eprfw: error: bell column norm")
+
+
+def test_bell_csv_memory_does_not_grow_with_the_sweep(tmp_path):
+    def peak_bytes(count):
+        cfg = bell_config(["--xi", "0.7", "--sweep", f"phi:0:6:{count}", "--out", str(tmp_path / "bell.csv")])
+        tracemalloc.start()
+        try:
+            assert cmd_bell(cfg) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(2)  # imports and caches of a first run
+    one, four = peak_bytes(CHUNK), peak_bytes(4 * CHUNK)
+    assert four <= 1.5 * one, (one, four)
 
 
 def test_bell_byte_identical_reruns(tmp_path):
