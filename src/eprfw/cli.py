@@ -393,9 +393,8 @@ def main(argv=None) -> int:
             return cmd_transport(cfg)
         if args.command == "bell":
             return cmd_bell(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, inject_omega_sign_flip=args.inject_omega_sign_flip)
-        raise UsageError(f"unknown command {args.command!r}")
+        # the parser admits no other command: a missing or unknown one exits 2 in parse_args
+        return cmd_verify(cfg, inject_omega_sign_flip=args.inject_omega_sign_flip)
     except (ValueError, ArithmeticError) as exc:  # bad input, or an overflow or underflow it causes
         print(f"eprfw: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -45,7 +45,6 @@ __all__ = [
     "chsh_restored",
     "bell_report",
     "bell_columns",
-    "same_ray",
 ]
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
@@ -101,9 +100,10 @@ def final_state_closed_form(alpha: float, xi: float, Phi: float) -> np.ndarray:
     with theta = alpha * Phi * cosh(xi).  The relative phase between the psi-
     and phi blocks is real: applying the two closed-form transport operators
     to the singlet (:func:`evolve_pair`) produces exactly this state, which
-    the pair-evolution test asserts amplitude by amplitude.  The state at
-    -Phi, where theta and so the sin(theta) term flip sign, is the mirror
-    labeling with the two particles' roles swapped.
+    the ``pair_evolution_closed_form`` check of :mod:`eprfw.verify` asserts
+    amplitude by amplitude.  The state at -Phi, where theta and so the
+    sin(theta) term flip sign, is the mirror labeling with the two particles'
+    roles swapped.
 
     The squared norm is cos^2(theta) + sin^2(theta) cosh(2 xi) >= 1.
     """
@@ -225,23 +225,6 @@ def restored_settings(theta: float) -> MeasurementSettings:
 def chsh_restored(s: np.ndarray, theta: float) -> float:
     """CHSH combination after the observers rotate their axes by +-theta (:func:`restored_settings`)."""
     return chsh_value(s, restored_settings(theta))
-
-
-def same_ray(x: np.ndarray, y: np.ndarray, atol: float = 1e-10) -> bool:
-    """Whether two amplitude vectors agree up to one global phase.
-
-    The phase is extracted from the largest-magnitude coefficient of ``x``.
-    """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    k = int(np.argmax(np.abs(x)))
-    if abs(x[k]) == 0.0:
-        return bool(np.allclose(y, 0.0, atol=atol))
-    phase = y[k] / x[k]
-    mag = abs(phase)
-    if abs(mag - 1.0) > atol:
-        return False
-    return bool(np.allclose(x * phase, y, atol=atol))
 
 
 @dataclass(frozen=True)

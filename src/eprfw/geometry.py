@@ -103,7 +103,7 @@ class PhiModulatedGeometry(StringGeometry):
 
     def __post_init__(self):
         super().__post_init__()
-        if abs(self.epsilon) >= 1.0 or self.alpha * (1.0 + abs(self.epsilon)) > 1.0:
+        if not abs(self.epsilon) < 1.0 or self.alpha * (1.0 + abs(self.epsilon)) > 1.0:
             raise ValueError("modulation must keep alpha(phi) inside (0, 1]")
 
     def alpha_at(self, phi):

@@ -107,8 +107,8 @@ def acceleration_from_velocity(wl: CircularWorldline) -> np.ndarray:
 
 def proper_time_total(wl: CircularWorldline, Phi: float) -> float:
     """Proper time to sweep azimuth Phi: tau = alpha rho Phi / (c sinh xi)."""
-    if Phi <= 0.0:
-        raise ValueError(f"Phi must be positive, got {Phi}")
+    if not 0.0 < Phi < math.inf:
+        raise ValueError(f"Phi must be positive and finite, got {Phi}")
     if wl.xi == 0.0:
         raise ValueError("particle at rest never reaches the observer")
     return wl.geom.alpha * wl.rho * Phi / (wl.geom.c * math.sinh(wl.xi))
@@ -116,8 +116,8 @@ def proper_time_total(wl: CircularWorldline, Phi: float) -> float:
 
 def four_momentum_frame(wl: CircularWorldline, mass: float) -> np.ndarray:
     """Frame components p^a = (m c cosh xi, 0, 0, direction * m c sinh xi)."""
-    if mass <= 0.0:
-        raise ValueError(f"mass must be positive, got {mass}")
+    if not 0.0 < mass < math.inf:
+        raise ValueError(f"mass must be positive and finite, got {mass}")
     mc = mass * wl.geom.c
     return np.array([mc * math.cosh(wl.xi), 0.0, 0.0, wl.direction * mc * math.sinh(wl.xi)])
 

@@ -418,6 +418,8 @@ def test_config_file_and_flag_give_equal_runs(name, tmp_path):
         ["bell", "--steps", "1.5"],
         ["geometry", "--phi", "nan"],
         ["verify", "--phi", "-1"],
+        ["geometry", "--xi", "20"],
+        ["verify", "--xi", "20"],
     ],
 )
 def test_usage_errors(argv, capsys):
@@ -426,6 +428,14 @@ def test_usage_errors(argv, capsys):
     assert err.startswith("eprfw: error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [[], ["nosuch"]])
+def test_missing_or_unknown_command_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @st.composite

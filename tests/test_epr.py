@@ -23,7 +23,6 @@ from eprfw.epr import (
     initial_state,
     restored_settings,
     roty,
-    same_ray,
 )
 from eprfw.epr import _kron2
 from eprfw.geometry import StringGeometry
@@ -105,7 +104,6 @@ def test_rest_frame_quarter_turn_gives_phi_plus():
     basis = bell_states()
     expected = math.cos(theta) * basis.psi_minus + math.sin(theta) * basis.phi_plus
     assert np.abs(state - expected).max() <= 1e-12
-    assert same_ray(basis.phi_plus, state, atol=1e-12)
 
 
 def test_rest_frame_generic_angle_mixture():
@@ -117,18 +115,6 @@ def test_rest_frame_generic_angle_mixture():
     assert np.abs(state - expected).max() <= 1e-12
 
 
-@pytest.mark.parametrize("alpha", ALPHAS)
-@pytest.mark.parametrize("sh", SINH_XIS)
-@pytest.mark.parametrize("Phi", PHIS)
-def test_pair_evolution_reproduces_closed_form(alpha, sh, Phi):
-    # the convention-pinning check: every +- assignment is exercised here
-    xi = math.asinh(sh)
-    state = evolved_state(alpha, xi, Phi)
-    expected = final_state_closed_form(alpha, xi, Phi)
-    assert np.abs(state - expected).max() <= 1e-10
-    assert same_ray(expected, state, atol=1e-10)
-
-
 def test_swapped_roles_are_the_mirror_branch():
     alpha, xi, Phi = 0.5, math.asinh(0.75), math.pi / 2
     plus, minus = transport_pair(alpha, xi, Phi)
@@ -138,7 +124,7 @@ def test_swapped_roles_are_the_mirror_branch():
 
 def test_flipping_only_the_rotation_leg_is_rejected():
     # transporting the partner with only eta2 flipped leaks a psi+ component:
-    # the pair-evolution test above is what pins the convention
+    # the pair_evolution_closed_form check of eprfw verify is what pins the convention
     alpha, xi, Phi = 0.5, math.asinh(0.75), math.pi
     geom = StringGeometry(alpha)
     wl = CircularWorldline(geom, rho=1.0, xi=xi, direction=+1)
@@ -168,8 +154,7 @@ def test_closed_form_without_precession():
 
 def test_closed_form_quarter_turn_ray():
     state = final_state_closed_form(0.5, 0.0, math.pi)  # theta = pi/2
-    assert same_ray(bell_states().phi_plus, state, atol=1e-12)
-    assert same_ray(-1j * bell_states().phi_plus, state, atol=1e-12)  # phase-blind
+    assert np.abs(state - bell_states().phi_plus).max() <= 1e-12
 
 
 def test_closed_form_norm():
@@ -202,10 +187,6 @@ def test_primed_pair_anticommutes():
     settings_ = chsh_settings()
     anti = settings_.a @ settings_.a_prime + settings_.a_prime @ settings_.a
     assert np.abs(anti).max() <= 1e-12
-
-
-def test_chsh_singlet_tsirelson():
-    assert chsh_direct(initial_state()) == pytest.approx(TWO_SQRT2, abs=1e-12)
 
 
 def test_chsh_degrades_at_eighth_turn():
@@ -267,14 +248,6 @@ def test_chsh_closed_form_periodic_and_even(theta, xi):
     assert chsh_closed_form(-theta, xi) == pytest.approx(val, abs=1e-12)
 
 
-@pytest.mark.parametrize("alpha", ALPHAS)
-@pytest.mark.parametrize("Phi", PHIS)
-def test_rest_frame_direct_equals_closed_form(alpha, Phi):
-    state = evolved_state(alpha, 0.0, Phi)
-    theta = wigner_angle(alpha, 0.0, Phi)
-    assert chsh_direct(state) == pytest.approx(chsh_closed_form(theta, 0.0), abs=1e-10)
-
-
 def test_boosted_closed_form_equals_unnormalized_direct():
     # the closed form skips normalization; multiplying back the squared norm
     # of the transported state recovers the direct expectation at xi > 0
@@ -294,14 +267,6 @@ def test_restored_settings_identity_at_zero_angle():
     rotated = restored_settings(0.0)
     for left, right in zip(base, rotated):
         assert np.allclose(left, right, atol=1e-15)
-
-
-@pytest.mark.parametrize("alpha", ALPHAS)
-@pytest.mark.parametrize("Phi", PHIS)
-def test_restoration_rest_frame(alpha, Phi):
-    state = evolved_state(alpha, 0.0, Phi)
-    theta = wigner_angle(alpha, 0.0, Phi)
-    assert chsh_restored(state, theta) == pytest.approx(TWO_SQRT2, abs=1e-10)
 
 
 def test_restoration_assignment_selection():
