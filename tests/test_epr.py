@@ -115,6 +115,17 @@ def test_rest_frame_generic_angle_mixture():
     assert np.abs(state - expected).max() <= 1e-12
 
 
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("sh", SINH_XIS)
+@pytest.mark.parametrize("Phi", PHIS)
+def test_pair_evolution_reproduces_closed_form(alpha, sh, Phi):
+    # the convention-pinning check: every +- assignment is exercised here
+    xi = math.asinh(sh)
+    state = evolved_state(alpha, xi, Phi)
+    expected = final_state_closed_form(alpha, xi, Phi)
+    assert np.abs(state - expected).max() <= 1e-10
+
+
 def test_swapped_roles_are_the_mirror_branch():
     alpha, xi, Phi = 0.5, math.asinh(0.75), math.pi / 2
     plus, minus = transport_pair(alpha, xi, Phi)
@@ -124,7 +135,7 @@ def test_swapped_roles_are_the_mirror_branch():
 
 def test_flipping_only_the_rotation_leg_is_rejected():
     # transporting the partner with only eta2 flipped leaks a psi+ component:
-    # the pair_evolution_closed_form check of eprfw verify is what pins the convention
+    # the pair-evolution test above is what pins the convention
     alpha, xi, Phi = 0.5, math.asinh(0.75), math.pi
     geom = StringGeometry(alpha)
     wl = CircularWorldline(geom, rho=1.0, xi=xi, direction=+1)
@@ -248,6 +259,14 @@ def test_chsh_closed_form_periodic_and_even(theta, xi):
     assert chsh_closed_form(-theta, xi) == pytest.approx(val, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("Phi", PHIS)
+def test_rest_frame_direct_equals_closed_form(alpha, Phi):
+    state = evolved_state(alpha, 0.0, Phi)
+    theta = wigner_angle(alpha, 0.0, Phi)
+    assert chsh_direct(state) == pytest.approx(chsh_closed_form(theta, 0.0), abs=1e-10)
+
+
 def test_boosted_closed_form_equals_unnormalized_direct():
     # the closed form skips normalization; multiplying back the squared norm
     # of the transported state recovers the direct expectation at xi > 0
@@ -267,6 +286,14 @@ def test_restored_settings_identity_at_zero_angle():
     rotated = restored_settings(0.0)
     for left, right in zip(base, rotated):
         assert np.allclose(left, right, atol=1e-15)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("Phi", PHIS)
+def test_restoration_rest_frame(alpha, Phi):
+    state = evolved_state(alpha, 0.0, Phi)
+    theta = wigner_angle(alpha, 0.0, Phi)
+    assert chsh_restored(state, theta) == pytest.approx(TWO_SQRT2, abs=1e-10)
 
 
 def test_restoration_assignment_selection():

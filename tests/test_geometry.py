@@ -24,6 +24,7 @@ from eprfw.geometry import (
     metric_at,
     riemann_at,
     spin_connection_at,
+    spin_connection_fd,
     tetrad_at,
     total_connection_at,
 )
@@ -102,6 +103,15 @@ def test_tetrad_inverse_against_numeric_inversion():
     assert tet.einv[PHI, 3] == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("geom,pt", every_point())
+def test_tetrad_identities_on_grid(geom, pt):
+    g = metric_at(geom, pt)
+    tet = tetrad_at(geom, pt)
+    assert np.abs(tet.e.T @ MINKOWSKI @ tet.e - g).max() <= 1e-12
+    assert np.abs(tet.e @ tet.einv - np.eye(4)).max() <= 1e-12
+    assert np.abs(tet.einv @ tet.e - np.eye(4)).max() <= 1e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     alpha=st.floats(min_value=0.05, max_value=1.0),
@@ -130,6 +140,11 @@ def test_christoffel_closed_form_values():
     mask = np.ones((4, 4, 4), dtype=bool)
     mask[RHO, PHI, PHI] = mask[PHI, RHO, PHI] = mask[PHI, PHI, RHO] = False
     assert np.abs(gamma[mask]).max() == 0.0
+
+
+@pytest.mark.parametrize("geom,pt", every_point())
+def test_christoffel_finite_difference_oracle(geom, pt):
+    assert np.abs(christoffel_fd(geom, pt) - christoffel_at(geom, pt)).max() <= 1e-6
 
 
 def test_christoffel_lower_index_symmetry():
@@ -162,6 +177,11 @@ def test_spin_connection_has_no_radial_component(alpha, rho):
     # d_rho e^phi_3 cancels Gamma^phi_{rho phi} e^phi_3 exactly, not to round-off
     omega = spin_connection_at(StringGeometry(alpha), SpacetimePoint(rho=rho, phi=0.3))
     assert not omega[RHO].any()
+
+
+@pytest.mark.parametrize("geom,pt", every_point())
+def test_spin_connection_generic_pipeline(geom, pt):
+    assert np.abs(spin_connection_fd(geom, pt) - spin_connection_at(geom, pt)).max() <= 1e-6
 
 
 # ------------------------------------------------- Fermi-Walker and total
@@ -221,8 +241,19 @@ def test_raised_index_antisymmetry(geom, pt):
 # -------------------------------------------------------------- curvature
 
 
+@pytest.mark.parametrize("geom,pt", every_point())
+def test_riemann_vanishes_off_axis(geom, pt):
+    assert np.abs(riemann_at(geom, pt)).max() <= 1e-6
+
+
 def test_riemann_flat_space():
     assert np.abs(riemann_at(StringGeometry(1.0), SpacetimePoint(rho=1.0))).max() <= 1e-6
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_holonomy_deficit_full_loop(alpha):
+    deficit = holonomy_deficit_angle(StringGeometry(alpha))
+    assert deficit == pytest.approx(2.0 * math.pi * (1.0 - alpha), abs=1e-8)
 
 
 @pytest.mark.parametrize("steps", [1, 3])

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from eprfw.geometry import PHI, RHO, StringGeometry, fw_connection_at
+from eprfw.geometry import PHI, RHO, StringGeometry, fw_connection_at, metric_at
 from eprfw.kinematics import (
     CircularWorldline,
+    acceleration_from_velocity,
     four_momentum_frame,
     four_velocity,
     proper_acceleration,
     proper_time_total,
+    velocity_norm,
     xi_from_beta,
 )
 from eprfw import verify
@@ -82,6 +84,17 @@ def test_four_velocity_reference_values():
     assert u[1] == 0.0 and u[2] == 0.0
 
 
+@pytest.mark.parametrize("wl", worldlines())
+def test_four_velocity_normalization(wl):
+    assert abs(velocity_norm(wl) + wl.geom.c**2) <= 1e-12
+
+
+@pytest.mark.parametrize("wl", worldlines())
+def test_velocity_acceleration_orthogonality(wl):
+    g = metric_at(wl.geom, wl.point())
+    assert abs(four_velocity(wl) @ g @ proper_acceleration(wl)) <= 1e-12
+
+
 def test_acceleration_at_rest_vanishes():
     wl = CircularWorldline(StringGeometry(0.5), rho=2.0, xi=0.0)
     assert np.abs(proper_acceleration(wl)).max() == 0.0
@@ -90,6 +103,11 @@ def test_acceleration_at_rest_vanishes():
 def test_acceleration_reference_value():
     wl = CircularWorldline(StringGeometry(0.5), rho=2.0, xi=math.asinh(0.75))
     assert proper_acceleration(wl)[RHO] == pytest.approx(-0.28125, abs=1e-15)
+
+
+@pytest.mark.parametrize("wl", worldlines())
+def test_acceleration_covariant_derivative_oracle(wl):
+    assert np.abs(proper_acceleration(wl) - acceleration_from_velocity(wl)).max() <= 1e-8
 
 
 def test_proper_time_reference_values():

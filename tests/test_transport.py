@@ -205,6 +205,18 @@ def test_closed_form_without_transport_is_identity():
     assert np.allclose(op, IDENTITY2, atol=1e-15)
 
 
+@pytest.mark.parametrize("params", params_grid())
+def test_closed_form_against_scaling_squaring_oracle(params):
+    ours = transport_closed_form(params)
+    oracle = expm(0.5 * _gamma_matrix(params))
+    assert np.abs(ours - oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize("params", params_grid())
+def test_closed_form_unimodular(params):
+    assert abs(np.linalg.det(transport_closed_form(params)) - 1.0) <= 1e-10
+
+
 def test_closed_form_boosted_entries():
     params = transport_params(ref_worldline(), math.pi)
     op = transport_closed_form(params)
