@@ -64,6 +64,20 @@ def test_integrator_convergence_catches_a_first_order_product(monkeypatch):
     assert result.observed < 2.5
 
 
+def test_closed_form_check_catches_a_perturbed_angle(monkeypatch):
+    # cos(theta (1 + 1e-9) / 2) in place of cos(theta / 2) on the diagonal
+    exact = transport.transport_closed_form
+
+    def perturbed(params):
+        half = 0.5 * params.theta
+        return exact(params) + (math.cos(half * (1.0 + 1e-9)) - math.cos(half)) * transport.IDENTITY2
+
+    monkeypatch.setattr(transport, "transport_closed_form", perturbed)
+    result = verify.check_closed_form_vs_expm()
+    assert not result.passed, result.line()
+    assert result.observed > 1e-9
+
+
 def test_criterion_05_dirac_consistency():
     result = verify.check_dirac_chiral_block(steps=65536)
     assert result.passed, result.line()

@@ -624,12 +624,36 @@ def test_rest_where_c2_over_rho_overflows_runs():
     assert numbers and all(math.isfinite(x) for x in numbers)
 
 
+LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
 def test_import_leaves_scipy_unloaded():
-    # scipy is only the expm oracle of one verify check, imported there
-    code = "import sys, eprfw; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = "import sys, eprfw; " + LOADED_SCIPY
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_verify_battery_leaves_scipy_unloaded():
+    code = "import sys; from eprfw import verify; verify.run_checks(); " + LOADED_SCIPY
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["verify"], EXIT_OK), (["verify", "--inject-omega-sign-flip", "--steps", "1024"], EXIT_CHECK_FAILURE)],
+    ids=["clean", "omega-sign-flip"],
+)
+def test_verify_runs_without_scipy(argv, code):
+    # a None entry in sys.modules makes every `import scipy...` raise ImportError
+    script = f"import sys; sys.modules['scipy'] = None; from eprfw.cli import main; sys.exit(main({argv!r}))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr == ""
+    if code == EXIT_OK:
+        assert proc.stdout.splitlines()[-1] == "26/26 checks passed"
 
 
 @pytest.mark.skipif(shutil.which("eprfw") is None, reason="console script not on PATH")
