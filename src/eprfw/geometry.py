@@ -22,6 +22,14 @@ one leading axis of results, ``X[..., mu, a, b]``, when the geometry varies
 along phi, and the single phi-independent result otherwise.  A scalar ``phi``
 gives exactly the shapes listed above.  The finite-difference oracles take
 scalar points only.
+
+Inside, the Christoffel symbols and connections are built step-last,
+``X[mu, a, b, ...]``, from the diagonals of the tetrad (it is diagonal in
+these coordinates).  Every contraction with the tetrad then keeps a single
+term and is one elementwise product whose inner loop runs over the steps; a
+stacked matrix product would spend one BLAS call on every 4x4 matrix.  The
+array results are step-first views (``transpose``) of those arrays, so they
+have the shapes above but are not C-contiguous.
 """
 
 from __future__ import annotations
@@ -56,6 +64,8 @@ __all__ = [
 T, RHO, Z, PHI = 0, 1, 2, 3
 
 MINKOWSKI = np.diag([-1.0, 1.0, 1.0, 1.0])
+# its diagonal eta_a: lowering a frame index is one elementwise product with it
+_ETA = np.diag(MINKOWSKI)
 
 # Frame planes the spin connection along phi can rotate: it mixes frame legs
 # 1 and 3 and leaves legs 0 and 2 alone, for every geometry of this module.
@@ -162,6 +172,25 @@ def metric_at(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:
     return _diag(-geom.c**2, 1.0, 1.0, (_alpha(geom, pt) * pt.rho) ** 2)
 
 
+def _tetrad_diagonals(geom: StringGeometry, pt: SpacetimePoint) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals (c, 1, 1, alpha rho) of the tetrad and their inverses, shape ``(4,) + alpha.shape``."""
+    leg = _alpha(geom, pt) * pt.rho
+    d = np.empty((4,) + leg.shape)
+    d[0], d[1], d[2], d[3] = geom.c, 1.0, 1.0, leg
+    return d, 1.0 / d
+
+
+def _step_first(x: np.ndarray) -> np.ndarray:
+    """View of a step-last field ``x[i, j, k, *steps]`` with the step axes in front.
+
+    A field with no step axes is returned as it is, so that a scalar point
+    pays nothing for the layout.
+    """
+    if x.ndim == 3:
+        return x
+    return x.transpose(tuple(range(3, x.ndim)) + (0, 1, 2))
+
+
 def tetrad_at(geom: StringGeometry, pt: SpacetimePoint) -> Tetrad:
     """Rest-frame tetrad of the static observer, diagonal in these coordinates.
 
@@ -169,17 +198,21 @@ def tetrad_at(geom: StringGeometry, pt: SpacetimePoint) -> Tetrad:
     carries the factor c so that e^a_mu e^b_nu eta_ab = g_{mu nu} holds for
     any unit choice (it reduces to 1 for the default c = 1).
     """
-    leg = _alpha(geom, pt) * pt.rho
-    return Tetrad(e=_diag(geom.c, 1.0, 1.0, leg), einv=_diag(1.0 / geom.c, 1.0, 1.0, 1.0 / leg))
+    d, dinv = _tetrad_diagonals(geom, pt)
+    return Tetrad(e=_diag(*d), einv=_diag(*dinv))
+
+
+def _christoffel(a: np.ndarray, rho: float) -> np.ndarray:
+    """Christoffel symbols ``gamma[lam, mu, nu, *steps]`` for deficit factors ``a``, step axes last."""
+    gamma = np.zeros((4, 4, 4) + a.shape)
+    gamma[RHO, PHI, PHI] = -(a**2) * rho
+    gamma[PHI, RHO, PHI] = gamma[PHI, PHI, RHO] = 1.0 / rho
+    return gamma
 
 
 def christoffel_at(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:
     """Levi-Civita connection; only Gamma^rho_{phi phi} and Gamma^phi_{rho phi} survive."""
-    a = _alpha(geom, pt)
-    gamma = np.zeros(a.shape + (4, 4, 4))
-    gamma[..., RHO, PHI, PHI] = -(a**2) * pt.rho
-    gamma[..., PHI, RHO, PHI] = gamma[..., PHI, PHI, RHO] = 1.0 / pt.rho
-    return gamma
+    return _step_first(_christoffel(_alpha(geom, pt), pt.rho))
 
 
 def _fd_step(pt: SpacetimePoint, h: float) -> float:
@@ -209,14 +242,18 @@ def christoffel_fd(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:
     )
 
 
-def _frame_covariant_derivative(pt, gamma, einv):
-    """cov[mu, nu, b] = d_mu e^nu_b + Gamma^nu_{mu sig} e^sig_b for this tetrad family."""
-    # (Gamma^nu_{mu sig})[mu, nu, sig] @ einv[sig, b], per azimuth
-    cov = np.swapaxes(gamma, -3, -2) @ einv[..., None, :, :]
+def _spin_connection(pt: SpacetimePoint, gamma: np.ndarray, d: np.ndarray, dinv: np.ndarray) -> np.ndarray:
+    """omega[mu, a, b, *steps] from step-last Christoffels and the tetrad diagonals.
+
+    e^a_nu (d_mu e^nu_b + Gamma^nu_{mu sig} e^sig_b): the tetrad is diagonal,
+    so each contraction with it keeps one term, an elementwise product.
+    """
+    omega = gamma.swapaxes(0, 1) * dinv  # Gamma^nu_{mu b} e^b_b, indexed [mu, nu, b]
     # the only nonzero d_mu e^nu_b, d_rho (1/(alpha rho)) = -(1/rho) e^phi_3, formed from
     # the operands of the closed-form Gamma^phi_{rho phi} e^phi_3 so that the two cancel exactly
-    cov[..., RHO, PHI, 3] -= (1.0 / pt.rho) * einv[..., PHI, 3]
-    return cov
+    omega[RHO, PHI, 3] -= (1.0 / pt.rho) * dinv[3]
+    omega *= d[:, None]  # e^a_a: the row index nu becomes the frame index a
+    return omega
 
 
 def spin_connection_at(
@@ -234,16 +271,30 @@ def spin_connection_at(
     finite-difference ones, to rebuild the same object through an
     independent route.
     """
+    d, dinv = _tetrad_diagonals(geom, pt)
     if gamma is None:
-        gamma = christoffel_at(geom, pt)
-    tet = tetrad_at(geom, pt)
-    cov = _frame_covariant_derivative(pt, gamma, tet.einv)
-    return tet.e[..., None, :, :] @ cov  # e^a_nu cov[mu, nu, b], per mu
+        gamma = _christoffel(_alpha(geom, pt), pt.rho)
+    else:
+        gamma = np.moveaxis(gamma, (-3, -2, -1), (0, 1, 2))
+    return _step_first(_spin_connection(pt, gamma, d, dinv))
 
 
 def spin_connection_fd(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:
     """Spin connection through the generic pipeline with finite-difference Christoffels."""
     return spin_connection_at(geom, pt, gamma=christoffel_fd(geom, pt))
+
+
+def _fw_connection(geom: StringGeometry, accel: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """tau[mu, a, b, *steps] from the tetrad diagonals; see :func:`fw_connection_at`."""
+    acc = (np.asarray(accel, dtype=float) / geom.c**2).reshape((4,) + (1,) * (d.ndim - 1))
+    lower = _ETA.reshape(acc.shape) * d  # e_{b b}
+    ae, al = d * acc, lower * acc        # e^a_nu a^nu, e_{b nu} a^nu
+    # tau[mu, a, b] = ae[a] e_{b mu} - e^a_mu al[b]: the first term lives on b = mu, the second on a = mu
+    tau = np.zeros((4, 4) + d.shape)
+    diag = np.arange(4)
+    tau[diag, :, diag] = ae * lower[:, None]
+    tau[diag, diag] -= d[:, None] * al
+    return tau
 
 
 def fw_connection_at(
@@ -256,24 +307,17 @@ def fw_connection_at(
     It is divided by c^2 before the frame products, which carry e^0_t = c and
     would overflow first wherever c^2 |a| is near the float maximum.
     """
-    accel = np.asarray(accel, dtype=float) / geom.c**2
-    tet = tetrad_at(geom, pt)
-    lower = MINKOWSKI @ tet.e  # lower[b, mu] = e_{b mu}
-    ae = tet.e @ accel     # ae[a] = e^a_nu a^nu
-    al = lower @ accel     # al[b] = e_{b nu} a^nu
-    # tau[mu, a, b] = ae[a] lower[b, mu] - e[a, mu] al[b], as broadcast products
-    tau = ae[..., None, :, None] * np.swapaxes(lower, -1, -2)[..., :, None, :]
-    tau -= np.swapaxes(tet.e, -1, -2)[..., :, :, None] * al[..., None, None, :]
-    return tau
+    return _step_first(_fw_connection(geom, accel, _tetrad_diagonals(geom, pt)[0]))
 
 
 def total_connection_at(
     geom: StringGeometry, pt: SpacetimePoint, accel: np.ndarray
 ) -> np.ndarray:
     """Total transport connection: spin connection plus Fermi-Walker term."""
-    omega = spin_connection_at(geom, pt)
-    omega += fw_connection_at(geom, pt, accel)
-    return omega
+    d, dinv = _tetrad_diagonals(geom, pt)
+    omega = _spin_connection(pt, _christoffel(_alpha(geom, pt), pt.rho), d, dinv)
+    omega += _fw_connection(geom, accel, d)
+    return _step_first(omega)
 
 
 def riemann_at(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:

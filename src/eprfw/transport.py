@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    MINKOWSKI,
+    _ETA,
     PHI,
     T,
     SpacetimePoint,
@@ -330,11 +330,14 @@ def transport_closed_form(params: TransportParams) -> np.ndarray:
     """Closed-form operator Xi = cosh(gamma/2) I + (sinh(gamma/2)/gamma) Gamma.
 
     gamma is imaginary, so the coefficients are cos(theta/2) and
-    sin(theta/2)/theta; the latter is evaluated through a cardinal sine,
-    which carries the theta -> 0 limit Xi = I + Gamma/2 without branching.
+    sin(theta/2)/theta; the latter is 0.5 sinc(theta / 2 pi), formed in
+    ``math`` from the same argument y = pi (theta / 2 pi) as ``np.sinc``,
+    whose per-call cost dominates on a scalar.  theta = 0 takes the limit
+    0.5, so Xi = I + Gamma/2 there.
     """
     theta = params.theta
-    coeff = 0.5 * np.sinc(theta / (2.0 * math.pi))  # sin(theta/2)/theta
+    y = math.pi * (theta / (2.0 * math.pi))
+    coeff = 0.5 * (math.sin(y) / y) if y else 0.5  # sin(theta/2)/theta
     return math.cos(0.5 * theta) * IDENTITY2 + coeff * _gamma_matrix(params)
 
 
@@ -382,7 +385,7 @@ def transport_from_connection(
     def generator(phi):
         omega = connection_fn(geom, SpacetimePoint(rho=wl.rho, phi=phi), accel)
         # lower the first frame index: w[mu, a, b] = Omega_{mu a b}
-        wab = MINKOWSKI @ omega[..., PHI, :, :]  # dx^phi/dphi = 1 along the continued azimuth
+        wab = _ETA[:, None] * omega[..., PHI, :, :]  # dx^phi/dphi = 1 along the continued azimuth
         if wl.xi > 0.0:
             # dx^t/dphi = U^t / U^phi; at rest the boost rows of Omega vanish
             # identically (a = 0), so the time leg drops out exactly.  The
@@ -391,7 +394,7 @@ def transport_from_connection(
             # boost/rotation mix of the per-step generator changes along the
             # path (a pure alpha(phi) rescaling of the whole generator would
             # keep every step commuting and leave path ordering untested).
-            wab = wab + (MINKOWSKI @ omega[..., T, :, :]) * (geom.alpha * wl.rho * ch / (geom.c * sh))
+            wab = wab + (_ETA[:, None] * omega[..., T, :, :]) * (geom.alpha * wl.rho * ch / (geom.c * sh))
         lead = wab.shape[:-2]
         return -0.5j * (wab.reshape(lead + (16,)) @ sig_flat).reshape(lead + (dim, dim))
 

@@ -33,6 +33,7 @@ from eprfw.verify import ALPHAS, RHOS
 
 REF_GEOM = StringGeometry(0.5)
 REF_PT = SpacetimePoint(rho=2.0)
+PHI_ARRAY = np.linspace(-2.0, 7.0, 37)
 
 
 def every_point():
@@ -250,18 +251,46 @@ def test_riemann_flat_space():
     assert np.abs(riemann_at(StringGeometry(1.0), SpacetimePoint(rho=1.0))).max() <= 1e-6
 
 
-@pytest.mark.parametrize("alpha", ALPHAS)
-def test_holonomy_deficit_full_loop(alpha):
-    deficit = holonomy_deficit_angle(StringGeometry(alpha))
-    assert deficit == pytest.approx(2.0 * math.pi * (1.0 - alpha), abs=1e-8)
-
-
 @pytest.mark.parametrize("steps", [1, 3])
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_holonomy_deficit_of_coarse_steps(alpha, steps):
     # one step may turn the frame by more than pi; the angle is still unwrapped
     deficit = holonomy_deficit_angle(StringGeometry(alpha), steps=steps)
     assert abs(deficit - 2.0 * math.pi * (1.0 - alpha)) <= 1e-12
+
+
+# -------------------------------------------- generic frame contractions
+
+
+def generic_connections(geom, pt, accel):
+    """omega and tau by the generic formulas, contracting the full tetrad matrices."""
+    tet = tetrad_at(geom, pt)
+    e, einv = tet.e, tet.einv
+    # the only nonzero d_mu e^nu_b: d_rho e^phi_3 = d_rho (1/(alpha rho)) = -(1/rho) e^phi_3
+    de = np.zeros(np.shape(einv)[:-2] + (4, 4, 4))
+    de[..., RHO, PHI, 3] = -(1.0 / pt.rho) * einv[..., PHI, 3]
+    cov = de + np.einsum("...nms,...sb->...mnb", christoffel_at(geom, pt), einv)
+    omega = np.einsum("...an,...mnb->...mab", e, cov)
+    acc = accel / geom.c**2
+    lower = np.einsum("bc,...cm->...bm", MINKOWSKI, e)  # e_{b mu}
+    ae = np.einsum("...an,n->...a", e, acc)
+    al = np.einsum("...bn,n->...b", lower, acc)
+    tau = np.einsum("...a,...bm->...mab", ae, lower) - np.einsum("...am,...b->...mab", e, al)
+    return omega, tau
+
+
+@pytest.mark.parametrize("phi", [0.3, PHI_ARRAY], ids=["scalar", "array"])
+@pytest.mark.parametrize("c", [1.0, 2.0])
+@pytest.mark.parametrize("modulated", [False, True])
+def test_connections_equal_generic_contractions(modulated, c, phi):
+    # the kernel contracts with the tetrad's diagonals only; the full matrices give the same bits
+    geom = PhiModulatedGeometry(alpha=0.5, c=c, epsilon=0.4, k=3) if modulated else StringGeometry(0.5, c=c)
+    pt = SpacetimePoint(rho=1.5, phi=phi)  # alpha rho != 1, so that every diagonal entry counts
+    accel = accel_for(0.75, rho=1.5, geom=geom)
+    omega, tau = generic_connections(geom, pt, accel)
+    assert np.array_equal(spin_connection_at(geom, pt), omega)
+    assert np.array_equal(fw_connection_at(geom, pt, accel), tau)
+    assert np.array_equal(total_connection_at(geom, pt, accel), omega + tau)
 
 
 # ------------------------------------------------------- modulation hook
@@ -289,7 +318,6 @@ def test_phi_modulated_geometry_is_pointwise():
 # -------------------------------------------------- fields over phi arrays
 
 
-PHI_ARRAY = np.linspace(-2.0, 7.0, 37)
 ARRAY_GEOMS = (StringGeometry(0.5), PhiModulatedGeometry(alpha=0.5, epsilon=0.4, k=3))
 
 

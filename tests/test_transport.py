@@ -205,6 +205,25 @@ def test_closed_form_without_transport_is_identity():
     assert np.allclose(op, IDENTITY2, atol=1e-15)
 
 
+def test_closed_form_coefficient_matches_cardinal_sine():
+    # sin(theta/2)/theta is formed in math; 0.5 np.sinc(theta / 2 pi) is the reference,
+    # to 1 ulp, so that a host whose sin differs from numpy's in the last bit passes
+    from eprfw.transport import TransportParams
+
+    rng = np.random.default_rng(14)
+    thetas = np.concatenate([
+        [0.0, 5e-324, 1e-300, 1e-12, 2 * math.pi, 4.5e7],
+        rng.uniform(0.0, 1e-3, 300),
+        rng.uniform(0.0, 4 * math.pi, 1500),
+        np.exp(rng.uniform(math.log(1e-3), math.log(4.5e7), 1500)),
+    ])
+    for theta in map(float, thetas):
+        # eta1 = 1, eta2 = 0 puts the coefficient alone in entry (0, 1)
+        coeff = transport_closed_form(TransportParams(eta1=1.0, eta2=0.0, theta=theta))[0, 1].real
+        expected = 0.5 * np.sinc(theta / (2.0 * math.pi))
+        assert abs(coeff - expected) <= np.spacing(abs(expected)), theta
+
+
 @pytest.mark.parametrize("params", params_grid())
 def test_closed_form_against_scaling_squaring_oracle(params):
     ours = transport_closed_form(params)
