@@ -8,7 +8,8 @@ checks every given value, whichever command uses it, and returns the run in
 domain units, with xi resolved from beta and, under ``degrees``, a given phi
 and phi sweep bounds converted to radians.  Numbers are serialized with 17
 significant digits so that parsing an emitted file reproduces them exactly;
-identical configurations produce byte-identical output.
+identical configurations produce byte-identical output.  ``main`` rejects
+``format`` json for ``geometry`` and ``transport``, which write text only.
 
 ``bell`` streams its CSV: it evaluates the sweep ``_CHUNK`` points at a time
 and writes each chunk's lines as soon as they are formatted, so its memory
@@ -138,7 +139,7 @@ OPTIONS = {
     "steps": (int, "integrator step count N"),
     "sweep": (_parse_sweep, "<var>:<start>:<stop>:<count> over alpha|xi|phi"),
     "out": (str, "output path (default: stdout)"),
-    "format": (str, "output format: csv or json"),
+    "format": (str, "output format: csv or json (json for bell and verify only)"),
     "degrees": (_parse_bool, "interpret angle inputs (phi and phi sweep bounds) in degrees"),
 }
 
@@ -387,6 +388,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
+        if cfg.format == "json" and args.command in ("geometry", "transport"):
+            raise UsageError(f"{args.command} writes text only; format json is for bell and verify")
         if args.command == "geometry":
             return cmd_geometry(cfg)
         if args.command == "transport":

@@ -256,9 +256,7 @@ def _spin_connection(pt: SpacetimePoint, gamma: np.ndarray, d: np.ndarray, dinv:
     return omega
 
 
-def spin_connection_at(
-    geom: StringGeometry, pt: SpacetimePoint, gamma: np.ndarray | None = None
-) -> np.ndarray:
+def spin_connection_at(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:
     """Spin connection omega[mu, a, b] of the rest-frame tetrad.
 
     Computed as e^a_nu (d_mu e^nu_b + Gamma^nu_{mu sig} e^sig_b).  The overall
@@ -266,22 +264,14 @@ def spin_connection_at(
     omega_phi^1_3 = -alpha, omega_phi^3_1 = +alpha, the set that sums with the
     boost term to the total transport connection used downstream (the opposite
     placement would flip every precession angle).
-
-    ``gamma`` may supply precomputed Christoffel symbols, e.g. the
-    finite-difference ones, to rebuild the same object through an
-    independent route.
     """
     d, dinv = _tetrad_diagonals(geom, pt)
-    if gamma is None:
-        gamma = _christoffel(_alpha(geom, pt), pt.rho)
-    else:
-        gamma = np.moveaxis(gamma, (-3, -2, -1), (0, 1, 2))
-    return _step_first(_spin_connection(pt, gamma, d, dinv))
+    return _step_first(_spin_connection(pt, _christoffel(_alpha(geom, pt), pt.rho), d, dinv))
 
 
 def spin_connection_fd(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:
     """Spin connection through the generic pipeline with finite-difference Christoffels."""
-    return spin_connection_at(geom, pt, gamma=christoffel_fd(geom, pt))
+    return _spin_connection(pt, christoffel_fd(geom, pt), *_tetrad_diagonals(geom, pt))  # no step axis
 
 
 def _fw_connection(geom: StringGeometry, accel: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -361,16 +351,17 @@ def transport_frame_vector(
     def generator(phi):
         return -spin_connection_at(geom, SpacetimePoint(rho=1.0, phi=phi))[..., PHI, :, :]
 
-    op, total = _path_ordered(generator, 0.0, Phi, steps, _FRAME_PLANES, 4)
+    op, total = _path_ordered(generator, Phi, steps, _FRAME_PLANES, 4)
     angle = float(total[1, 1, 0]) if v[1] or v[3] else 0.0  # generator of leg 1 into leg 3
     return op @ v, angle
 
 
-def holonomy_deficit_angle(geom: StringGeometry, steps: int = 512) -> float:
+def holonomy_deficit_angle(geom: StringGeometry) -> float:
     """Deficit rotation of a frame vector carried once around the string at rest.
 
     The transport rotates the vector by -2 pi alpha in the (1, 3) plane; the
-    flat-space reference is -2 pi, so the deficit is 2 pi (1 - alpha).
+    flat-space reference is -2 pi, so the deficit is 2 pi (1 - alpha).  The
+    loop takes 512 steps of :func:`transport_frame_vector`.
     """
-    _, angle = transport_frame_vector(geom, np.array([0.0, 1.0, 0.0, 0.0]), 2.0 * math.pi, steps=steps)
+    _, angle = transport_frame_vector(geom, np.array([0.0, 1.0, 0.0, 0.0]), 2.0 * math.pi, steps=512)
     return 2.0 * math.pi + angle

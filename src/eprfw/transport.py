@@ -234,12 +234,12 @@ def _tree_product(x: np.ndarray) -> np.ndarray:
     return x[..., 0]
 
 
-def _path_ordered(generator, phi0: float, arc: float, steps: int, blocks, n: int):
+def _path_ordered(generator, arc: float, steps: int, blocks, n: int):
     """Midpoint-rule product of the path's steps and the sum of their generators.
 
-    The path is the signed azimuth ``arc`` from ``phi0``, split into
-    ``steps`` >= 1 sub-arcs of ``dphi = arc / steps``: step k runs from
-    ``phi0 + k dphi`` to ``phi0 + (k + 1) dphi``.
+    The path is the signed azimuth ``arc`` from 0, split into ``steps`` >= 1
+    sub-arcs of ``dphi = arc / steps``: step k runs from ``k dphi`` to
+    ``(k + 1) dphi``.
     ``generator(phi)`` receives the array of midpoint azimuths of one chunk
     and returns the generators per unit azimuth, ``(..., n, n)`` broadcasting
     to ``(len(phi), n, n)`` and block diagonal in the index pairs ``blocks``.
@@ -256,7 +256,7 @@ def _path_ordered(generator, phi0: float, arc: float, steps: int, blocks, n: int
     dphi = arc / steps
     op, total, start = None, 0.0, 0
     while start < steps:
-        phi = phi0 + (np.arange(start, min(start + _CHUNK, steps)) + 0.5) * dphi
+        phi = (np.arange(start, min(start + _CHUNK, steps)) + 0.5) * dphi
         gen = generator(phi)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the finiteness check below reports it
             gen = _split_blocks(gen * dphi, blocks)
@@ -347,12 +347,11 @@ def transport_from_connection(
     steps: int,
     representation: str = "spin-half",
     connection_fn=None,
-    phi0: float = 0.0,
 ) -> np.ndarray:
     """Path-ordered product of one-step exponentials of the transport generator.
 
-    The arc [phi0, phi0 + direction * Phi] is split into ``steps`` uniform
-    sub-arcs; on each, the generator is evaluated at the midpoint azimuth and
+    The arc [0, direction * Phi] is split into ``steps`` uniform sub-arcs;
+    on each, the generator is evaluated at the midpoint azimuth and
     exponentiated (exponential midpoint rule: globally second order once the
     generator varies along the path, exact per step when it does not).  The
     product is formed by the array engine described in the module docstring.
@@ -366,7 +365,8 @@ def transport_from_connection(
     vary along phi may return a single ``(4, 4, 4)`` array.  Such an array
     is one step with a repeat count over the whole path: the hook is then
     called once, with the first chunk's midpoints.  The connection functions
-    of :mod:`eprfw.geometry` all behave this way.
+    of :mod:`eprfw.geometry` all behave this way.  A hook that adds phi0 to
+    ``pt.phi`` transports along the arc that starts at phi0 instead.
     Raises ``ValueError`` if ``steps`` < 1 or if the product is not finite.
 
     The azimuth is continued with its sign, so the partner particle
@@ -398,7 +398,7 @@ def transport_from_connection(
         lead = wab.shape[:-2]
         return -0.5j * (wab.reshape(lead + (16,)) @ sig_flat).reshape(lead + (dim, dim))
 
-    return _path_ordered(generator, phi0, wl.direction * Phi, steps, _BLOCKS[representation], dim)[0]
+    return _path_ordered(generator, wl.direction * Phi, steps, _BLOCKS[representation], dim)[0]
 
 
 def chiral_block(d: np.ndarray, which: str = "right") -> np.ndarray:

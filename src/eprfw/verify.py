@@ -317,9 +317,9 @@ def check_single_step_vs_dense(steps_dense: int = 65536) -> CheckResult:
     )
 
 
-def check_dirac_chiral_block(steps: int = 4096) -> CheckResult:
+def check_dirac_chiral_block() -> CheckResult:
     wl = _reference_worldline()
-    Phi = math.pi
+    Phi, steps = math.pi, 65536  # a constant generator: the product costs O(log N)
     dirac_op = transport.transport_from_connection(wl, Phi, steps, representation="dirac")
     block = transport.chiral_block(dirac_op, "right")
     ref = transport.transport_closed_form(transport.transport_params(wl, Phi))

@@ -12,7 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eprfw import epr
@@ -420,14 +420,36 @@ def test_config_file_and_flag_give_equal_runs(name, tmp_path):
         ["verify", "--phi", "-1"],
         ["geometry", "--xi", "20"],
         ["verify", "--xi", "20"],
+        # only bell and verify write JSON, whether it is asked for by flag or in a file
+        ["geometry", "--format", "json"],
+        ["transport", "--format", "json"],
+        ["geometry", "--config", "json.cfg"],
+        ["transport", "--config", "json.cfg"],
     ],
 )
-def test_usage_errors(argv, capsys):
+def test_usage_errors(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "json.cfg").write_text("format=json\n")
     assert run(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("eprfw: error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["geometry", "transport"])
+@pytest.mark.parametrize("in_file", [False, True], ids=["flag", "config"])
+def test_json_for_a_text_command_opens_no_output(command, in_file, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    if in_file:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"format=json\nout={out}\n")
+        argv = [command, "--config", str(cfg)]
+    else:
+        argv = [command, "--format", "json", "--out", str(out)]
+    assert run(argv) == EXIT_USAGE
+    assert "bell and verify" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [[], ["nosuch"]])
@@ -452,11 +474,18 @@ def cli_argv(draw):
         argv.append(f"--sweep={var}:{draw(NUMBERS)}:{draw(NUMBERS)}:{draw(st.integers(-1, 8))}")
     if draw(st.booleans()):
         argv.append("--degrees")
+    if draw(st.booleans()):
+        argv.append(f"--format={draw(st.sampled_from(['csv', 'json']))}")
     return argv
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(cli_argv())
+# few drawn runs are inside the domain, and none of those draws json
+@example(["bell", "--format=json"])
+@example(["bell", "--xi=0.4", "--sweep=phi:0:6:5", "--format=json"])
+@example(["geometry", "--format=json"])
+@example(["transport", "--steps=4", "--format=json"])
 def test_any_numeric_input_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -466,10 +495,16 @@ def test_any_numeric_input_exits_cleanly(argv):
             code = exc.code
     assert code in (EXIT_OK, EXIT_USAGE), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    as_json = "--format=json" in argv
+    if argv[0] != "bell" and as_json:
+        assert code == EXIT_USAGE
     if argv[0] == "bell" and code == EXIT_OK:
-        rows = out.getvalue().strip().splitlines()[1:]
+        if as_json:
+            rows = [list(row.values()) for row in json.loads(out.getvalue())["rows"]]
+        else:
+            rows = [row.split(",") for row in out.getvalue().strip().splitlines()[1:]]
         assert rows
-        assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+        assert all(math.isfinite(float(x)) for row in rows for x in row)
 
 
 def test_on_axis_is_a_usage_error(capsys):

@@ -312,6 +312,15 @@ def variable_mode_worldline():
     return CircularWorldline(geom, rho=2.0, xi=XI_REF)
 
 
+def starting_at(phi0):
+    """Connection hook that moves the transported arc to start at azimuth ``phi0``."""
+
+    def shifted(geom, pt, accel):
+        return total_connection_at(geom, SpacetimePoint(rho=pt.rho, phi=pt.phi + phi0), accel)
+
+    return shifted
+
+
 def test_numeric_convergence_is_second_order():
     errors = verify.convergence_errors()
     assert errors[0] > 1e-6  # the perturbation actually bites
@@ -332,7 +341,7 @@ def test_variable_mode_requires_path_ordering():
     # per-step generators must not commute, otherwise ordering is untested
     wl = variable_mode_worldline()
     a = transport_from_connection(wl, 0.5, 1)
-    b = transport_from_connection(wl, 0.5, 1, phi0=wl.direction * 0.5)
+    b = transport_from_connection(wl, 0.5, 1, connection_fn=starting_at(wl.direction * 0.5))
     assert np.abs(a @ b - b @ a).max() > 1e-4
 
 
@@ -340,7 +349,7 @@ def test_transport_composition_path_ordered():
     wl = variable_mode_worldline()
     full = transport_from_connection(wl, math.pi, 1024)
     first = transport_from_connection(wl, math.pi / 2, 512)
-    second = transport_from_connection(wl, math.pi / 2, 512, phi0=math.pi / 2)
+    second = transport_from_connection(wl, math.pi / 2, 512, connection_fn=starting_at(math.pi / 2))
     assert np.abs(second @ first - full).max() <= 1e-12
 
 
@@ -508,7 +517,7 @@ ENGINE_STEPS = (1, 2, 3, 1023, 1025, 4097)
 def test_engine_matches_sequential_product(steps, direction, rep, modulated):
     geom = PhiModulatedGeometry(alpha=0.5, epsilon=0.4, k=1) if modulated else StringGeometry(0.5)
     wl = CircularWorldline(geom, rho=2.0, xi=XI_REF, direction=direction)
-    engine = transport_from_connection(wl, math.pi, steps, rep, phi0=0.3)
+    engine = transport_from_connection(wl, math.pi, steps, rep, connection_fn=starting_at(0.3))
     assert np.abs(engine - sequential_transport(wl, math.pi, steps, rep, phi0=0.3)).max() <= 1e-12
 
 
