@@ -2,8 +2,9 @@
 
 The criteria are defined once, in :data:`eprfw.verify.CHECKS`.  This module
 adds what the battery does not carry: the wall-time bounds of criteria 01, 02
-and 04, the boosted singlet amplitude (07) and CLI determinism (09).  Report
-lines are visible with ``pytest -s``.
+and 04, the N=65536 size of the Dirac product (05), the boosted singlet
+amplitude (07) and CLI determinism (09).  Report lines are visible with
+``pytest -s``.
 """
 
 import math
@@ -82,6 +83,13 @@ def test_closed_form_check_catches_a_perturbed_angle(monkeypatch):
     result = verify.check_closed_form_vs_expm()
     assert not result.passed, result.line()
     assert result.observed > 1e-9
+
+
+def test_criterion_05_dirac_consistency():
+    # the battery's Dirac check must run the product at criterion 05's N
+    result = verify.check_dirac_chiral_block()
+    assert result.passed, result.line()
+    assert result.note == "N=65536", result.line()
 
 
 def test_criterion_07_wigner_angle():
