@@ -105,6 +105,13 @@ def final_state_closed_form(alpha: float, xi: float, Phi: float) -> np.ndarray:
     sin(theta) term flip sign, is the mirror labeling with the two particles'
     roles swapped.
 
+    The partner's spin (second factor) is written in the static frame turned
+    by pi about frame leg 2, R = ``roty(pi)``, as :mod:`eprfw.transport`
+    transports it; see that module's docstring.  At xi > 0 this is not the
+    singlet's evolution in one static frame shared by both particles: in that
+    frame the partner's operator is R^-1 Xi_- R, with Xi_- the operator of
+    :mod:`eprfw.transport`.  At xi = 0 the two agree.
+
     The squared norm is cos^2(theta) + sin^2(theta) cosh(2 xi) >= 1.
     """
     theta = wigner_angle(alpha, xi, Phi)

@@ -71,6 +71,10 @@ _ETA = np.diag(MINKOWSKI)
 # 1 and 3 and leaves legs 0 and 2 alone, for every geometry of this module.
 _FRAME_PLANES = ((0, 2), (1, 3))
 
+# For a field x[mu, a, b, ...], x[_DIAG, :, _DIAG] is its plane b = mu and
+# x[_DIAG, _DIAG] its plane a = mu: the two planes the Fermi-Walker term lives on.
+_DIAG = np.arange(4)
+
 
 class OnAxisError(ValueError):
     """Point lies on the string axis (rho <= 0), where the geometry is singular."""
@@ -274,17 +278,17 @@ def spin_connection_fd(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:
     return _spin_connection(pt, christoffel_fd(geom, pt), *_tetrad_diagonals(geom, pt))  # no step axis
 
 
-def _fw_connection(geom: StringGeometry, accel: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """tau[mu, a, b, *steps] from the tetrad diagonals; see :func:`fw_connection_at`."""
+def _fw_terms(geom: StringGeometry, accel: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two terms of tau[mu, a, b, *steps] from the tetrad diagonals; see :func:`fw_connection_at`.
+
+    tau[mu, a, b] = ae[a] e_{b mu} - e^a_mu al[b] with ae = e^a_nu a^nu and al = e_{b nu} a^nu:
+    the first term lives on the plane b = mu and is returned as ``first[mu, a]``, the
+    second on the plane a = mu, as ``second[mu, b]``.
+    """
     acc = (np.asarray(accel, dtype=float) / geom.c**2).reshape((4,) + (1,) * (d.ndim - 1))
     lower = _ETA.reshape(acc.shape) * d  # e_{b b}
-    ae, al = d * acc, lower * acc        # e^a_nu a^nu, e_{b nu} a^nu
-    # tau[mu, a, b] = ae[a] e_{b mu} - e^a_mu al[b]: the first term lives on b = mu, the second on a = mu
-    tau = np.zeros((4, 4) + d.shape)
-    diag = np.arange(4)
-    tau[diag, :, diag] = ae * lower[:, None]
-    tau[diag, diag] -= d[:, None] * al
-    return tau
+    ae, al = d * acc, lower * acc
+    return ae * lower[:, None], d[:, None] * al
 
 
 def fw_connection_at(
@@ -297,16 +301,29 @@ def fw_connection_at(
     It is divided by c^2 before the frame products, which carry e^0_t = c and
     would overflow first wherever c^2 |a| is near the float maximum.
     """
-    return _step_first(_fw_connection(geom, accel, _tetrad_diagonals(geom, pt)[0]))
+    d = _tetrad_diagonals(geom, pt)[0]
+    first, second = _fw_terms(geom, accel, d)
+    tau = np.zeros((4, 4) + d.shape)
+    tau[_DIAG, :, _DIAG] = first
+    tau[_DIAG, _DIAG] -= second
+    return _step_first(tau)
 
 
 def total_connection_at(
     geom: StringGeometry, pt: SpacetimePoint, accel: np.ndarray
 ) -> np.ndarray:
-    """Total transport connection: spin connection plus Fermi-Walker term."""
+    """Total transport connection: spin connection plus Fermi-Walker term.
+
+    The Fermi-Walker term's two planes are added into the spin connection in
+    place, with no separate tau array.  The result has the bits of
+    ``spin_connection_at + fw_connection_at``: the spin connection holds no
+    -0.0, and it is +0.0 on the line mu = a = b where the two planes overlap.
+    """
     d, dinv = _tetrad_diagonals(geom, pt)
     omega = _spin_connection(pt, _christoffel(_alpha(geom, pt), pt.rho), d, dinv)
-    omega += _fw_connection(geom, accel, d)
+    first, second = _fw_terms(geom, accel, d)
+    omega[_DIAG, :, _DIAG] += first
+    omega[_DIAG, _DIAG] -= second
     return _step_first(omega)
 
 

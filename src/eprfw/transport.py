@@ -26,10 +26,17 @@ Sign conventions are load-bearing and pinned by tests, not by taste:
   entry (a (i/2)[gamma, gamma] normalization would double every precession
   angle and cannot reproduce the 2x2 closed form);
 * the partner particle sent toward -Phi is transported with the azimuth
-  continued to -Phi, flipping both eta1 and eta2.  Flipping only the
-  rotation leg (as a literal sign flip of U^phi with positive proper time
-  would suggest) leaves a spurious psi+ component in the evolved pair state
-  and is rejected by the pair-evolution test.
+  continued to -Phi at a positive time measure, which flips both eta1 and
+  eta2.  This writes the partner's spin in the static frame turned by pi
+  about frame leg 2, R = ``epr.roty(pi)``, which maps (e1, e3) to
+  (-e1, -e3): the frame whose leg 3 points along the partner's motion.
+  Transport in the one static frame shared with the first particle, with
+  the signed dt/dphi = U^t / U^phi < 0 so that the partner's proper time
+  still grows, flips eta2 only, and the two operators are related exactly
+  by Xi_-(this module) = R Xi_-(eta2 flipped) R^-1.  At rest (xi = 0) eta1
+  vanishes and the two coincide.  The pair-evolution checks compare with
+  this module's closed form and with ``epr.final_state_closed_form``, which
+  use the same frame, so they cannot tell the two frames apart.
 
 The path-ordered product is one engine function, shared with the
 frame-vector transport of :mod:`eprfw.geometry`.  It takes the midpoint
@@ -386,9 +393,11 @@ def transport_from_connection(
         omega = connection_fn(geom, SpacetimePoint(rho=wl.rho, phi=phi), accel)
         # lower the first frame index: w[mu, a, b] = Omega_{mu a b}
         wab = _ETA[:, None] * omega[..., PHI, :, :]  # dx^phi/dphi = 1 along the continued azimuth
-        if wl.xi > 0.0:
-            # dx^t/dphi = U^t / U^phi; at rest the boost rows of Omega vanish
-            # identically (a = 0), so the time leg drops out exactly.  The
+        if accel.any():
+            # dx^t/dphi = U^t / U^phi; at rest, and wherever c^2 sinh^2(xi)/rho
+            # underflows, the acceleration is zero and the boost rows of Omega
+            # vanish identically, so the time leg drops out exactly (U^t / U^phi
+            # itself overflows where sinh(xi) is subnormal).  The
             # measure uses the worldline's base deficit factor: a modulated
             # geometry varies only the connection coefficients, so that the
             # boost/rotation mix of the per-step generator changes along the

@@ -7,6 +7,14 @@ enforces, the observed error, and pass/fail.  Investigative checks
 nonzero rapidity) carry ``tolerance=None`` and always pass; they exist to put
 the measured numbers in the report.
 
+A grid check calls the function under test at every point of its grid,
+collects the outputs into one array, and compares that stack with its oracle
+in one call (one subtraction, ``einsum`` or ``np.linalg.det``).  Its observed
+error is the largest over the same entries as a point-by-point comparison,
+and a NaN at any point makes it NaN, which fails the check (Python's ``max``
+would skip it).  The grids build one geometry per deficit factor and one
+worldline per orbit.
+
 The battery needs only numpy.  Its matrix-exponential oracle is a generic
 Taylor scaling-and-squaring exponential of its own, so the closed-form
 transport operator is checked against code that shares nothing with it.
@@ -69,17 +77,25 @@ def _gated(name: str, tolerance: float, observed: float, note: str = "") -> Chec
     return CheckResult(name, tolerance, observed, observed <= tolerance, note)
 
 
+def _max_deviation(pairs) -> float:
+    """Largest |x - y| over every entry of the ``(x, y)`` pairs, in one stacked subtraction."""
+    x, y = (np.array(side) for side in zip(*pairs))
+    return np.abs(x - y).max()
+
+
 def _grid_points():
     for alpha in ALPHAS:
+        geom = StringGeometry(alpha)
         for rho in RHOS:
-            yield StringGeometry(alpha), SpacetimePoint(rho=rho, phi=0.7)
+            yield geom, SpacetimePoint(rho=rho, phi=0.7)
 
 
 def _worldlines():
     for alpha in ALPHAS:
+        geom = StringGeometry(alpha)
         for rho in RHOS:
             for sh in SINH_XIS:
-                yield CircularWorldline(StringGeometry(alpha), rho=rho, xi=math.asinh(sh))
+                yield CircularWorldline(geom, rho=rho, xi=math.asinh(sh))
 
 
 def _expected_connections(geom, wl):
@@ -107,70 +123,71 @@ def _flipped_connection(geom, pt, accel):
 # ---------------------------------------------------------------- geometry
 
 
+def _connection_forms(wl):
+    """Spin, Fermi-Walker and total connection at the orbit's point phi = 0."""
+    geom, pt = wl.geom, wl.point(0.0)
+    accel = kinematics.proper_acceleration(wl)
+    return (
+        geometry.spin_connection_at(geom, pt),
+        geometry.fw_connection_at(geom, pt, accel),
+        geometry.total_connection_at(geom, pt, accel),
+    )
+
+
 def check_tetrad_identities() -> CheckResult:
-    err = 0.0
+    metrics, frames, inverses = [], [], []
     for geom, pt in _grid_points():
-        g = geometry.metric_at(geom, pt)
+        metrics.append(geometry.metric_at(geom, pt))
         tet = geometry.tetrad_at(geom, pt)
-        err = max(err, np.abs(tet.e.T @ MINKOWSKI @ tet.e - g).max())
-        err = max(err, np.abs(tet.e @ tet.einv - np.eye(4)).max())
-        err = max(err, np.abs(tet.einv @ tet.e - np.eye(4)).max())
+        frames.append(tet.e)
+        inverses.append(tet.einv)
+    e, einv = np.array(frames), np.array(inverses)
+    err = np.max([
+        np.abs(e.swapaxes(-1, -2) @ MINKOWSKI @ e - np.array(metrics)).max(),
+        np.abs(e @ einv - np.eye(4)).max(),
+        np.abs(einv @ e - np.eye(4)).max(),
+    ])
     return _gated("tetrad_identities", 1e-12, err)
 
 
 def check_connection_tables() -> CheckResult:
-    err = 0.0
-    for wl in _worldlines():
-        geom, pt = wl.geom, wl.point(0.0)
-        accel = kinematics.proper_acceleration(wl)
-        omega_exp, tau_exp, total_exp = _expected_connections(geom, wl)
-        err = max(err, np.abs(geometry.spin_connection_at(geom, pt) - omega_exp).max())
-        err = max(err, np.abs(geometry.fw_connection_at(geom, pt, accel) - tau_exp).max())
-        err = max(err, np.abs(geometry.total_connection_at(geom, pt, accel) - total_exp).max())
+    err = _max_deviation(
+        (_connection_forms(wl), _expected_connections(wl.geom, wl)) for wl in _worldlines()
+    )
     return _gated("connection_component_tables", 1e-12, err)
 
 
 def check_connection_antisymmetry() -> CheckResult:
-    err = 0.0
-    for wl in _worldlines():
-        geom, pt = wl.geom, wl.point(0.0)
-        accel = kinematics.proper_acceleration(wl)
-        for form in (
-            geometry.spin_connection_at(geom, pt),
-            geometry.fw_connection_at(geom, pt, accel),
-            geometry.total_connection_at(geom, pt, accel),
-        ):
-            raised = np.einsum("mac,cb->mab", form, MINKOWSKI)  # X_mu^{ab}
-            err = max(err, np.abs(raised + np.einsum("mab->mba", raised)).max())
+    forms = np.array([_connection_forms(wl) for wl in _worldlines()])
+    raised = np.einsum("...mac,cb->...mab", forms, MINKOWSKI)  # X_mu^{ab}
+    err = np.abs(raised + raised.swapaxes(-1, -2)).max()
     return _gated("connection_antisymmetry_raised", 1e-12, err)
 
 
 def check_christoffel_oracle() -> CheckResult:
-    err = 0.0
-    for geom, pt in _grid_points():
-        err = max(err, np.abs(geometry.christoffel_fd(geom, pt) - geometry.christoffel_at(geom, pt)).max())
+    err = _max_deviation(
+        (geometry.christoffel_fd(geom, pt), geometry.christoffel_at(geom, pt)) for geom, pt in _grid_points()
+    )
     return _gated("christoffel_finite_difference", 1e-6, err)
 
 
 def check_spin_connection_pipeline() -> CheckResult:
-    err = 0.0
-    for geom, pt in _grid_points():
-        err = max(err, np.abs(geometry.spin_connection_fd(geom, pt) - geometry.spin_connection_at(geom, pt)).max())
+    err = _max_deviation(
+        (geometry.spin_connection_fd(geom, pt), geometry.spin_connection_at(geom, pt))
+        for geom, pt in _grid_points()
+    )
     return _gated("spin_connection_generic_pipeline", 1e-6, err)
 
 
 def check_riemann_flatness() -> CheckResult:
-    err = 0.0
-    for geom, pt in _grid_points():
-        err = max(err, np.abs(geometry.riemann_at(geom, pt)).max())
+    err = np.abs(np.array([geometry.riemann_at(geom, pt) for geom, pt in _grid_points()])).max()
     return _gated("riemann_off_axis_flatness", 1e-6, err)
 
 
 def check_holonomy_deficit() -> CheckResult:
-    err = 0.0
-    for alpha in ALPHAS:
-        deficit = geometry.holonomy_deficit_angle(StringGeometry(alpha))
-        err = max(err, abs(deficit - 2.0 * math.pi * (1.0 - alpha)))
+    err = _max_deviation(
+        (geometry.holonomy_deficit_angle(StringGeometry(alpha)), 2.0 * math.pi * (1.0 - alpha)) for alpha in ALPHAS
+    )
     return _gated("holonomy_deficit_full_loop", 1e-8, err)
 
 
@@ -178,51 +195,53 @@ def check_holonomy_deficit() -> CheckResult:
 
 
 def check_velocity_normalization() -> CheckResult:
-    err = 0.0
+    norms, u, g, a = [], [], [], []
     for wl in _worldlines():
-        g = geometry.metric_at(wl.geom, wl.point())
-        a = kinematics.proper_acceleration(wl)
-        err = max(err, abs(kinematics.velocity_norm(wl) + wl.geom.c**2))
-        err = max(err, abs(kinematics.four_velocity(wl) @ g @ a))
+        norms.append((kinematics.velocity_norm(wl), -wl.geom.c**2))
+        u.append(kinematics.four_velocity(wl))
+        g.append(geometry.metric_at(wl.geom, wl.point()))
+        a.append(kinematics.proper_acceleration(wl))
+    dots = np.array(u)[:, None, :] @ np.array(g) @ np.array(a)[:, :, None]  # g(U, a)
+    err = np.max([_max_deviation(norms), np.abs(dots).max()])
     return _gated("velocity_norm_and_orthogonality", 1e-12, err)
 
 
 def check_acceleration_oracle() -> CheckResult:
-    err = 0.0
-    for wl in _worldlines():
-        err = max(
-            err,
-            np.abs(
-                kinematics.proper_acceleration(wl) - kinematics.acceleration_from_velocity(wl)
-            ).max(),
-        )
+    err = _max_deviation(
+        (kinematics.proper_acceleration(wl), kinematics.acceleration_from_velocity(wl)) for wl in _worldlines()
+    )
     return _gated("acceleration_covariant_oracle", 1e-8, err)
 
 
 # ---------------------------------------------------------------- transport
 
 
+def _pair_orbits(geom, xi):
+    """The pair's two worldlines at rho = 1: the particle toward +Phi, then its partner."""
+    return [CircularWorldline(geom, rho=1.0, xi=xi, direction=direction) for direction in (+1, -1)]
+
+
 def _params_grid():
     for alpha in ALPHAS:
+        geom = StringGeometry(alpha)
         for sh in SINH_XIS:
+            orbits = _pair_orbits(geom, math.asinh(sh))
             for Phi in PHIS:
-                for direction in (+1, -1):
-                    wl = CircularWorldline(StringGeometry(alpha), rho=1.0, xi=math.asinh(sh), direction=direction)
+                for wl in orbits:
                     yield transport.transport_params(wl, Phi)
 
 
 def check_gamma_matrix_square() -> CheckResult:
-    err = 0.0
-    for params in _params_grid():
-        gam = transport._gamma_matrix(params)
-        err = max(err, np.abs(gam @ gam + params.theta**2 * np.eye(2)).max())  # gamma^2 = -theta^2
+    grid = list(_params_grid())
+    gam = np.array([transport._gamma_matrix(params) for params in grid])
+    theta2 = np.array([params.theta**2 for params in grid])
+    err = np.abs(gam @ gam + theta2[:, None, None] * np.eye(2)).max()  # gamma^2 = -theta^2
     return _gated("gamma_matrix_square_identity", 1e-12, err)
 
 
 def check_transport_determinant() -> CheckResult:
-    err = 0.0
-    for params in _params_grid():
-        err = max(err, abs(np.linalg.det(transport.transport_closed_form(params)) - 1.0))
+    ops = np.array([transport.transport_closed_form(params) for params in _params_grid()])
+    err = np.abs(np.linalg.det(ops) - 1.0).max()
     return _gated("transport_determinant", 1e-10, err)
 
 
@@ -328,54 +347,62 @@ def check_dirac_chiral_block() -> CheckResult:
 
 
 def check_wigner_rest_frame() -> CheckResult:
-    err = 0.0
+    angles, expected = [], []
     for alpha in ALPHAS:
+        wl = CircularWorldline(StringGeometry(alpha), rho=1.0, xi=0.0)
         for Phi in (math.pi / 4, math.pi / 2, math.pi):
-            wl = CircularWorldline(StringGeometry(alpha), rho=1.0, xi=0.0)
             op = transport.transport_closed_form(transport.transport_params(wl, Phi))
-            err = max(err, abs(transport.rotation_angle(op) - alpha * Phi))
+            angles.append(transport.rotation_angle(op))
+            expected.append(alpha * Phi)
+    err = np.abs(np.array(angles) - np.array(expected)).max()
     return _gated("wigner_angle_rest_frame", 1e-10, err)
 
 
 # --------------------------------------------------------------------- epr
 
 
-def _closed_pair(alpha, xi, Phi, connection_fn=None, steps=None):
-    geom = StringGeometry(alpha)
-    ops = []
-    for direction in (+1, -1):
-        wl = CircularWorldline(geom, rho=1.0, xi=xi, direction=direction)
-        if steps is None:
-            ops.append(transport.transport_closed_form(transport.transport_params(wl, Phi)))
-        else:
-            ops.append(
-                transport.transport_from_connection(wl, Phi, steps, connection_fn=connection_fn)
-            )
+def _evolved_pair(orbits, Phi, connection_fn=None, steps=None):
+    """The singlet carried along both ``orbits`` to ``Phi``: closed form, or ``steps`` path-ordered steps."""
+    if steps is None:
+        ops = [transport.transport_closed_form(transport.transport_params(wl, Phi)) for wl in orbits]
+    else:
+        ops = [transport.transport_from_connection(wl, Phi, steps, connection_fn=connection_fn) for wl in orbits]
     return epr.evolve_pair(epr.initial_state(), ops[0], ops[1])
 
 
-def check_pair_evolution_closed_form() -> CheckResult:
-    err = 0.0
+def _closed_pair(alpha, xi, Phi, connection_fn=None, steps=None):
+    return _evolved_pair(_pair_orbits(StringGeometry(alpha), xi), Phi, connection_fn, steps)
+
+
+def _rest_frame_pairs():
+    """``(alpha, Phi, evolved pair)`` at rest over ``ALPHAS`` x ``PHIS``, one pair of orbits per alpha."""
     for alpha in ALPHAS:
+        orbits = _pair_orbits(StringGeometry(alpha), 0.0)
+        for Phi in PHIS:
+            yield alpha, Phi, _evolved_pair(orbits, Phi)
+
+
+def check_pair_evolution_closed_form() -> CheckResult:
+    pairs = []
+    for alpha in ALPHAS:
+        geom = StringGeometry(alpha)
         for sh in SINH_XIS:
+            xi = math.asinh(sh)
+            orbits = _pair_orbits(geom, xi)
             for Phi in PHIS:
-                xi = math.asinh(sh)
-                evolved = _closed_pair(alpha, xi, Phi)
-                expected = epr.final_state_closed_form(alpha, xi, Phi)
-                err = max(err, np.abs(evolved - expected).max())
-    return _gated("pair_evolution_closed_form", 1e-10, err)
+                pairs.append((_evolved_pair(orbits, Phi), epr.final_state_closed_form(alpha, xi, Phi)))
+    return _gated("pair_evolution_closed_form", 1e-10, _max_deviation(pairs))
 
 
 def check_pair_evolution_from_connection(inject_omega_sign_flip: bool = False) -> CheckResult:
     connection_fn = _flipped_connection if inject_omega_sign_flip else None
-    err = 0.0
+    pairs = []
     for alpha, sh, Phi in ((0.5, 0.75, math.pi), (0.9, 2.0, math.pi / 2), (1.0, 0.0, math.pi)):
         xi = math.asinh(sh)
         evolved = _closed_pair(alpha, xi, Phi, connection_fn=connection_fn, steps=512)
-        expected = epr.final_state_closed_form(alpha, xi, Phi)
-        err = max(err, np.abs(evolved - expected).max())
+        pairs.append((evolved, epr.final_state_closed_form(alpha, xi, Phi)))
     note = "spin-connection sign flip injected" if inject_omega_sign_flip else "N=512"
-    return _gated("pair_evolution_from_connection", 1e-9, err, note=note)
+    return _gated("pair_evolution_from_connection", 1e-9, _max_deviation(pairs), note=note)
 
 
 def check_chsh_singlet() -> CheckResult:
@@ -384,29 +411,24 @@ def check_chsh_singlet() -> CheckResult:
 
 
 def check_chsh_closed_theta_zero() -> CheckResult:
-    err = 0.0
-    for sh in SINH_XIS:
-        err = max(err, abs(epr.chsh_closed_form(0.0, math.asinh(sh)) - TWO_SQRT2))
-    return _gated("chsh_closed_form_at_theta_zero", 1e-12, err)
+    closed = [epr.chsh_closed_form(0.0, math.asinh(sh)) for sh in SINH_XIS]
+    return _gated("chsh_closed_form_at_theta_zero", 1e-12, np.abs(np.array(closed) - TWO_SQRT2).max())
 
 
 def check_chsh_rest_frame_equivalence() -> CheckResult:
-    err = 0.0
-    for alpha in ALPHAS:
-        for Phi in PHIS:
-            evolved = _closed_pair(alpha, 0.0, Phi)
-            theta = transport.wigner_angle(alpha, 0.0, Phi)
-            err = max(err, abs(epr.chsh_direct(evolved) - epr.chsh_closed_form(theta, 0.0)))
-    return _gated("chsh_direct_vs_closed_rest_frame", 1e-10, err)
+    pairs = []
+    for alpha, Phi, evolved in _rest_frame_pairs():
+        theta = transport.wigner_angle(alpha, 0.0, Phi)
+        pairs.append((epr.chsh_direct(evolved), epr.chsh_closed_form(theta, 0.0)))
+    return _gated("chsh_direct_vs_closed_rest_frame", 1e-10, _max_deviation(pairs))
 
 
 def check_restoration_rest_frame() -> CheckResult:
-    err = 0.0
-    for alpha in ALPHAS:
-        for Phi in PHIS:
-            evolved = _closed_pair(alpha, 0.0, Phi)
-            theta = transport.wigner_angle(alpha, 0.0, Phi)
-            err = max(err, abs(epr.chsh_restored(evolved, theta) - TWO_SQRT2))
+    restored = [
+        epr.chsh_restored(evolved, transport.wigner_angle(alpha, 0.0, Phi))
+        for alpha, Phi, evolved in _rest_frame_pairs()
+    ]
+    err = np.abs(np.array(restored) - TWO_SQRT2).max()
     return _gated("chsh_restoration_rest_frame", 1e-10, err)
 
 
@@ -436,22 +458,22 @@ def check_chsh_normalization_discrepancy() -> CheckResult:
 
 def check_c_scaling_regression() -> CheckResult:
     """The c^2 factors must drop out of every physical output at c = 2."""
-    err = 0.0
+    errors = []
     for c in (1.0, 2.0):
         geom = StringGeometry(0.5, c=c)
         pt = SpacetimePoint(rho=2.0)
         tet = geometry.tetrad_at(geom, pt)
-        err = max(err, np.abs(tet.e.T @ MINKOWSKI @ tet.e - geometry.metric_at(geom, pt)).max())
+        errors.append(np.abs(tet.e.T @ MINKOWSKI @ tet.e - geometry.metric_at(geom, pt)).max())
         wl = CircularWorldline(geom, rho=2.0, xi=math.asinh(0.75))
-        err = max(err, abs(kinematics.velocity_norm(wl) + c**2))
+        errors.append(abs(kinematics.velocity_norm(wl) + c**2))
     op1 = transport.transport_from_connection(
         CircularWorldline(StringGeometry(0.5, c=1.0), 2.0, math.asinh(0.75)), math.pi, 64
     )
     op2 = transport.transport_from_connection(
         CircularWorldline(StringGeometry(0.5, c=2.0), 2.0, math.asinh(0.75)), math.pi, 64
     )
-    err = max(err, float(np.abs(op1 - op2).max()))
-    return _gated("c_scaling_regression", 1e-12, err)
+    errors.append(np.abs(op1 - op2).max())
+    return _gated("c_scaling_regression", 1e-12, np.max(errors))  # np.max, unlike max, keeps a NaN
 
 
 # The battery, in report order; run_checks passes its options to the checks that take them.

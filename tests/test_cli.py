@@ -507,6 +507,88 @@ def test_any_numeric_input_exits_cleanly(argv):
         assert all(math.isfinite(float(x)) for row in rows for x in row)
 
 
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+# README's Input domain, drawn from inside: theta = alpha Phi cosh(xi) stays below its cap
+# (theta * 2^-52 <= 1e-8, less a margin for the rounding of theta) at the point and at
+# both ends of a sweep, and every other rule holds on these ranges
+THETA_CAP = 0.999 * 1e-8 * 2.0**52
+ALPHAS_IN_DOMAIN = st.one_of(st.just(1.0), log_uniform(1e-6, 1.0))
+XIS_IN_DOMAIN = st.one_of(st.just(0.0), st.floats(0.0, 30.0))
+
+
+@st.composite
+def domain_argv(draw):
+    command = draw(st.sampled_from(["geometry", "transport", "bell"]))
+    alpha, xi = draw(ALPHAS_IN_DOMAIN), draw(XIS_IN_DOMAIN)
+    argv = [command, f"--alpha={alpha!r}", f"--rho={draw(log_uniform(1e-6, 1e6))!r}",
+            f"--c={draw(st.one_of(st.just(1.0), log_uniform(1e-6, 1e6)))!r}"]
+    var = draw(st.sampled_from(SWEEP_VARS)) if command == "bell" and draw(st.booleans()) else None
+    ends = {"alpha": [draw(ALPHAS_IN_DOMAIN) for _ in range(2)], "xi": [draw(XIS_IN_DOMAIN) for _ in range(2)]}
+    alpha_max = max([alpha] + (ends["alpha"] if var == "alpha" else []))
+    xi_max = max([xi] + (ends["xi"] if var == "xi" else []))
+    phi_max = min(THETA_CAP / (alpha_max * math.cosh(xi_max)), 100.0)
+    phi = draw(st.floats(0.0, 1.0)) * phi_max
+    if command != "bell" and xi < 7.0 and draw(st.booleans()):
+        argv.append(f"--beta={math.tanh(xi)!r}")
+    else:
+        argv.append(f"--xi={xi!r}")
+    degrees = draw(st.booleans())
+    argv += [f"--phi={math.degrees(phi)!r}", "--degrees"] if degrees else [f"--phi={phi!r}"]
+    if command == "transport":
+        argv.append(f"--steps={draw(st.integers(1, 64))}")
+    if var is not None:
+        ends["phi"] = [draw(st.floats(0.0, 1.0)) * phi_max for _ in range(2)]
+        if degrees:
+            ends["phi"] = [math.degrees(x) for x in ends["phi"]]
+        argv.append(f"--sweep={var}:{ends[var][0]!r}:{ends[var][1]!r}:{draw(st.integers(1, 8))}")
+    if command == "bell" and draw(st.booleans()):
+        argv.append("--format=json")
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(domain_argv())
+# a subnormal xi: U^t / U^phi overflows, and the zero acceleration must drop the time leg
+@example(["transport", "--xi=2.2250738585e-313", "--phi=1", "--steps=4"])
+def test_input_inside_the_domain_gives_finite_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    if argv[0] == "transport" and code == EXIT_USAGE:  # README's backstop for the numeric product
+        assert err.getvalue() == "eprfw: error: path-ordered product is not finite; the connection overflows on this path\n"
+        return
+    assert code == EXIT_OK, err.getvalue()
+    assert err.getvalue() == ""
+    text = out.getvalue()
+    if argv[0] != "bell":
+        numbers = []
+        for word in re.sub(r"[=\[\]|]", " ", text).split():
+            try:
+                numbers.append(float(word))
+            except ValueError:
+                pass
+        assert numbers and all(math.isfinite(x) for x in numbers)
+        return
+    if "--format=json" in argv:
+        rows = [[row[name] for name in BELL_COLUMNS] for row in json.loads(text)["rows"]]
+    else:
+        header, *lines = text.splitlines()
+        assert header == ",".join(BELL_COLUMNS)
+        rows = [[float(x) for x in line.split(",")] for line in lines]
+    sweep = [arg for arg in argv if arg.startswith("--sweep=")]
+    assert len(rows) == (int(sweep[0].rsplit(":", 1)[1]) if sweep else 1)
+    for row in rows:
+        values = dict(zip(BELL_COLUMNS, row))
+        assert all(math.isfinite(x) for x in row)
+        assert values["norm"] >= 1.0 - 1e-12  # the squared norm is >= 1
+        # the normalized correlators obey Tsirelson's bound; chsh_closed is unnormalized at xi > 0
+        assert abs(values["chsh_direct"]) <= epr.TWO_SQRT2 * (1.0 + 1e-12)
+        assert abs(values["chsh_restored"]) <= epr.TWO_SQRT2 * (1.0 + 1e-12)
+
+
 def test_on_axis_is_a_usage_error(capsys):
     assert run(["geometry", "--rho", "0"]) == EXIT_USAGE
     err = capsys.readouterr().err

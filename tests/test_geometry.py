@@ -294,6 +294,26 @@ def test_connections_equal_generic_contractions(modulated, c, phi):
     assert np.array_equal(total_connection_at(geom, pt, accel), omega + tau)
 
 
+CHUNK_PHIS = (np.arange(1024) + 0.5) * (math.pi / 1024)  # the midpoints of one engine chunk
+
+
+@pytest.mark.parametrize("phi", [0.3, CHUNK_PHIS], ids=["scalar", "chunk"])
+@pytest.mark.parametrize("sh", [0.0, 0.75], ids=["rest", "moving"])
+@pytest.mark.parametrize("modulated", [False, True], ids=["string", "modulated"])
+def test_total_connection_has_the_bits_of_the_sum(modulated, sh, phi):
+    # the Fermi-Walker term is added into omega in place; at rest a^rho = -0.0, so the
+    # sign of every zero is compared as well as every value
+    geom = PhiModulatedGeometry(alpha=0.5, epsilon=0.4, k=1) if modulated else REF_GEOM
+    accel = accel_for(sh, geom=geom)
+    assert np.signbit(accel[RHO])
+    pt = SpacetimePoint(rho=2.0, phi=phi)
+    total = total_connection_at(geom, pt, accel)
+    expected = spin_connection_at(geom, pt) + fw_connection_at(geom, pt, accel)
+    assert total.shape == expected.shape
+    assert np.array_equal(total, expected)
+    assert np.array_equal(np.signbit(total), np.signbit(expected))
+
+
 # ------------------------------------------------------- modulation hook
 
 

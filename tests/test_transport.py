@@ -294,6 +294,15 @@ def test_numeric_rejects_non_finite_azimuth(Phi):
         transport_from_connection(ref_worldline(), Phi, 8)
 
 
+@pytest.mark.parametrize("xi", [2.2250738585e-313, 1e-200], ids=["subnormal", "tiny"])
+def test_numeric_tiny_rapidity_matches_rest_frame(xi):
+    # U^t / U^phi overflows at a subnormal xi, where the acceleration is already zero
+    for direction in (+1, -1):
+        wl = CircularWorldline(StringGeometry(0.5), rho=1.0, xi=xi, direction=direction)
+        rest = CircularWorldline(StringGeometry(0.5), rho=1.0, xi=0.0, direction=direction)
+        assert np.array_equal(transport_from_connection(wl, 1.0, 4), transport_from_connection(rest, 1.0, 4))
+
+
 def test_numeric_partner_particle_matches_closed_form():
     wl = ref_worldline(direction=-1)
     closed = transport_closed_form(transport_params(wl, math.pi))
