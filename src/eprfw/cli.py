@@ -18,7 +18,10 @@ and keeps nothing, so a column that is not finite exits 2 before anything is
 written.  ``_csv_rows`` is the one CSV formatter, behind this stream and
 ``render_bell``; since a point's values do not depend on how many points share
 its evaluation, the chunked file equals the file of one unchunked evaluation.
-JSON output is built whole.
+It writes the bytes of ``"%.17g"``: values with 1e-4 <= |x| < 1e15 through an
+exact array kernel (an error-free scaling by a power of ten, round half to even,
+digits from a lookup table), the rest, which take exponent notation, and ±0
+through ``%`` itself.  JSON output is built whole.
 
 Exit codes: 0 success, 1 check failure, 2 usage error (a bad option value,
 input outside the domain, or overflow or underflow that input causes; each is
@@ -280,27 +283,123 @@ def bell_rows(cfg: RunConfig) -> list[dict]:
     return [dict(zip(BELL_COLUMNS, row)) for row in zip(*(columns[col].tolist() for col in BELL_COLUMNS))]
 
 
+# "%.17g" writes 1e-4 <= |x| < 1e15 positionally, as the 17 significant digits
+# of the round-half-even integer N nearest |x| 10^(16 - k), k = floor(log10|x|),
+# with the point placed by k and trailing zeros dropped.  Each value takes a
+# zero-padded slot of _WIDTH bytes: the sign at byte 0, the "0." and zeros that
+# lead a value below 1 just before the first digit, then digit j at byte 6 + 2j
+# followed by its point slot; the last slot holds the CSV separator.  Dropping the
+# zero bytes leaves the text.
+_ROWS = 2**12  # CSV rows per formatted block; bounds the formatter's temporaries
+_WIDTH = 40
+_SPLIT = 2.0**27 + 1  # Veltkamp's constant: a double is the sum of two 26-bit halves
+
+
+def _split(a):
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# 10^(16 - k) for k = -5..15, floor(log10|x|) in range with one to spare on each
+# side for the rounding of log10; every power up to 10^22 is exact in binary64
+_POW = np.array([float(10 ** (16 - k)) for k in range(-5, 16)])
+_POW_HI, _POW_LO = _split(_POW)
+
+
+def _scaled(a, k):
+    """hi + lo = a 10^(16 - k) exactly: the error-free product (Dekker, Numer. Math. 18 (1971) 224)."""
+    i = k + 5
+    hi = a * _POW[i]
+    a_hi, a_lo = _split(a)
+    return hi, ((a_hi * _POW_HI[i] - hi) + a_hi * _POW_LO[i] + a_lo * _POW_HI[i]) + a_lo * _POW_LO[i]
+
+
+def _digit_tables():
+    """The ASCII digits of 0..9999, one per even byte of a word, and each number's trailing zeros (4 for 0)."""
+    digits = np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    words = np.zeros((10**4, 8), np.uint8)
+    words[:, ::2] = ord("0") + digits
+    return words.view(np.uint64).ravel(), 4 - (np.arange(1, 5) * (digits != 0)).max(axis=1)
+
+
+def _layout_tables():
+    """The byte masks that keep a slot's digits and the bytes to add to it, indexed by
+    ``(k + 4) * 18 + nsig`` for the decimal exponent k in -4..14 and nsig significant digits."""
+    k = np.arange(-4, 15)[:, None, None]
+    nsig = np.arange(18)[None, :, None]
+    b = np.arange(_WIDTH)
+    keep = (b >= 6) & (b % 2 == 0) & ((b - 6) // 2 < np.maximum(nsig, k + 1))
+    point = (k >= 0) & (b == 7 + 2 * k) & (nsig > k + 1)
+    lead = (k < 0) & (b >= 5 + k) & (b < 6)
+    extra = np.where(point | (lead & (b == 6 + k)), ord("."), np.where(lead, ord("0"), 0))
+    return [np.asarray(mask, np.uint8).reshape(-1, _WIDTH).view(np.uint64) for mask in (keep * 255, extra)]
+
+
+_DIGITS4, _TRAILING_ZEROS4 = _digit_tables()
+_KEEP, _EXTRA = _layout_tables()
+
+
+def _divmod(n, d):
+    quotient = n // d  # faster than np.divmod for a scalar divisor
+    return quotient, n - quotient * d
+
+
+def _csv_block(table, separators) -> bytes:
+    """The CSV bytes of the rows of ``table``, each value as ``"%.17g"`` and followed by its column's separator."""
+    values = table.ravel()
+    magnitude = np.abs(values)
+    exact = (magnitude >= 1e-4) & (magnitude < 1e15)
+    magnitude = np.where(exact, magnitude, 1.0)
+    k = np.floor(np.log10(magnitude)).astype(np.intp)
+    hi, lo = _scaled(magnitude, k)
+    # log10 may round across a power of ten: move k so that 1e16 <= hi + lo < 1e17
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    k += high
+    k -= low
+    fix = np.flatnonzero(low | high)
+    hi[fix], lo[fix] = _scaled(magnitude[fix], k[fix])
+    # hi >= 2^53 is an even integer, so rounding lo half to even rounds hi + lo so.
+    # n stays below 10^17: the largest double below each power of ten in range
+    # scales to more than 8 below 10^17, so no value rounds up to the next decade.
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    first, rest = _divmod(n, 10**16)
+    upper, lower = _divmod(rest, 10**8)
+    groups = (*_divmod(upper, 10**4), *_divmod(lower, 10**4))
+    zeros = 0
+    for group in groups:
+        zeros = _TRAILING_ZEROS4[group] + (group == 0) * zeros
+    slots = np.zeros((len(values), _WIDTH // 8), np.uint64)
+    for word, group in enumerate(groups, start=1):
+        slots[:, word] = _DIGITS4[group]
+    chars = slots.view(np.uint8)
+    chars[:, 6] = ord("0") + first
+    layout = (k + 4) * 18 + 17 - zeros
+    slots &= np.take(_KEEP, layout, axis=0)
+    slots |= np.take(_EXTRA, layout, axis=0)
+    chars[:, 0] = np.where(values < 0, ord("-"), 0)
+    fallback = np.flatnonzero(~exact)
+    text = "%.17g\n" * len(fallback) % tuple(values[fallback].tolist())
+    chars[fallback, :-1] = np.array(text.split(), dtype=f"S{_WIDTH - 1}").view(np.uint8).reshape(-1, _WIDTH - 1)
+    chars.reshape(len(table), -1, _WIDTH)[:, :, -1] = separators
+    return chars.tobytes().translate(None, b"\0")
+
+
 def _csv_rows(columns) -> str:
     """The CSV lines, one per point, of equal-length columns in ``BELL_COLUMNS`` order.
 
     Every value is written as ``"%.17g"``, exactly as :func:`_fmt` writes it.
-    A column whose entries all have the same bits (so ``-0.0`` and ``0.0``
-    differ) is formatted once; the other columns are formatted with one
-    ``%`` over the whole block.
+    A value with 1e-4 <= |x| < 1e15, which ``%`` writes without an exponent, is
+    formatted exactly by array arithmetic; the rest (exponent notation, ±0, and
+    values that are not finite) are formatted by one ``%`` over those values.
+    Rows are formatted ``_ROWS`` at a time.
     """
-    columns = [np.asarray(column, dtype=float) for column in columns]
-    if not len(columns[0]):
-        return ""
-    fields, varying = [], []
-    for column in columns:
-        bits = column.view(np.int64)
-        if (bits == bits[0]).all():
-            fields.append(_fmt(column[0]))
-        else:
-            fields.append("%.17g")
-            varying.append(column)
-    block = (",".join(fields) + "\n") * len(columns[0])
-    return block % tuple(np.column_stack(varying).ravel().tolist()) if varying else block
+    table = np.column_stack([np.asarray(column, dtype=float) for column in columns])
+    separators = np.full(table.shape[1], ord(","), np.uint8)
+    separators[-1] = ord("\n")
+    blocks = (_csv_block(table[start:start + _ROWS], separators) for start in range(0, len(table), _ROWS))
+    return b"".join(blocks).decode("ascii")
 
 
 def render_bell(cfg: RunConfig, rows: list[dict]) -> str:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from eprfw.cli import (
     SWEEP_VARS,
     RunConfig,
     _CHUNK as CHUNK,
+    _csv_rows,
     _fmt,
     bell_rows,
     build_config,
@@ -144,10 +146,65 @@ def test_bell_json_rows_are_bell_rows(tmp_path):
 
 
 def test_bell_csv_rows_format_each_value_as_fmt():
-    values = (0.0, -0.0, 5e-324, 1e300, 0.1, 2.0 / 3.0, math.pi * 1e-17, 123456789.123, -2.5)
+    # 1e-4 <= |x| < 1e15 is formatted by the array kernel, the rest by "%"
+    values = (
+        0.0, -0.0, 5e-324, 1e300, 0.1, 2.0 / 3.0, math.pi * 1e-17, 123456789.123, -2.5,
+        1e-4, math.nextafter(1e-4, 0.0), -math.nextafter(1e15, 0.0), 1e15, 100000000000000.125, -0.000123,
+    )
     rows = [dict(zip(BELL_COLUMNS, values[k:] + values[:k])) for k in range(len(values))]
     lines = render_bell(RunConfig(), rows).splitlines()
     assert lines[1:] == [",".join(_fmt(row[col]) for col in BELL_COLUMNS) for row in rows]
+
+
+def _random_doubles(rng, count):
+    """Doubles from random bit patterns, both signs: one in 16 over every exponent, with
+    subnormals, infinities and nans; the rest from the binades that 1e-4 <= |x| < 1e15 spans."""
+    bits = rng.integers(0, 2**64, size=count, dtype=np.uint64)
+    inside = slice(count // 16, None)
+    exponents = rng.integers(1023 - 14, 1023 + 50, size=count - count // 16, dtype=np.uint64)
+    bits[inside] = (bits[inside] & ~np.uint64(0x7FF << 52)) | (exponents << np.uint64(52))
+    return bits.view(np.float64)
+
+
+def _exact_ties(rng, per_decade):
+    """Doubles x = M 2^-(p+1), M odd, in each decade 10^k <= x < 10^(k+1) with k in -4..14 and
+    p = 16 - k: x 10^p lies exactly halfway between two integers, a tie for 17 digits."""
+    ties = []
+    for k in range(-4, 15):
+        scale = 2 ** (17 - k)
+        low, high = (math.ceil(Fraction(10) ** e * scale) for e in (k, k + 1))
+        ties.append((rng.integers(low, high, size=per_decade) | 1) / scale)
+    return np.concatenate(ties)
+
+
+def csv_fields_and_fmt(values):
+    """The fields ``_csv_rows`` writes for ``values`` laid out in rows of ``BELL_COLUMNS``
+    (padded with ones), and the fields of one "%.17g" per value."""
+    values = np.concatenate([values, np.ones(-len(values) % len(BELL_COLUMNS))])
+    fields = _csv_rows(list(values.reshape(-1, len(BELL_COLUMNS)).T)).replace("\n", ",").split(",")
+    return fields, ("%.17g," * len(values) % tuple(values.tolist())).split(",")
+
+
+def test_csv_rows_equal_fmt_on_every_kind_of_double():
+    rng = np.random.default_rng(20041)
+    powers = [float(f"1e{k}") for k in range(-5, 17)]
+    edges = np.array(
+        powers + [math.nextafter(p, 0.0) for p in powers] + [math.nextafter(p, math.inf) for p in powers]
+        + [1e-4, 1e15, 100000000000000.125, 9.9999999999999999e-5, 0.0]
+    )
+    fields, expected = csv_fields_and_fmt(np.concatenate([_random_doubles(rng, 10**6), _exact_ties(rng, 2000), edges, -edges]))
+    assert fields == expected
+    assert "100000000000000.12" in fields
+
+
+@pytest.mark.parametrize("log10_error", [-1e-12, 1e-12])
+def test_csv_rows_hold_when_log10_rounds_across_a_decade(log10_error, monkeypatch):
+    # within about 1e-12 of a power of ten the shifted log10 starts one decade off
+    near = np.array([float(f"1e{k}") * (1 + j * 1e-13) for k in range(-4, 15) for j in range(-30, 31)])
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + log10_error)
+    fields, expected = csv_fields_and_fmt(np.concatenate([near, -near]))
+    assert fields == expected
 
 
 def test_bell_csv_keeps_the_sign_of_zero():
@@ -180,10 +237,13 @@ SWEEP_RANGES = {"alpha": "0.1:1", "xi": "0:3", "phi": "0:6"}
         ["--xi", "0.4", "--sweep", f"phi:0:360:{CHUNK + 1}", "--degrees"],
         ["--beta", "0.6", "--sweep", f"alpha:0.2:0.9:{2 * CHUNK + 1}"],
         ["--beta", "0.6", "--phi", "100", "--degrees"],
+        ["--xi", "0", "--sweep", f"phi:0:6:{CHUNK + 1}"],
     ],
 )
 def test_streamed_bell_csv_equals_the_per_row_render(argv, tmp_path):
-    # the xi:0:3 sweep of 2 * CHUNK + 1 = 32769 points ends in a one-point chunk
+    # the xi:0:3 sweep of 2 * CHUNK + 1 = 32769 points ends in a one-point chunk;
+    # at xi = 0 the xi and theta columns are exact zeros and restored_residual is
+    # about 1e-16 on every row, so whole columns are written by the "%" fallback
     out = tmp_path / "bell.csv"
     assert run(["bell", *argv, "--out", str(out)]) == EXIT_OK
     assert out.read_text() == per_row_csv(bell_rows(bell_config(argv)))
