@@ -6,9 +6,11 @@ in the 4x4 Dirac representation reduces to the 2x2 operator on one chiral
 block, and that the precession angle of the transported spin is
 theta = alpha * Phi * cosh(xi).
 
-The closed-form operator makes every integrator step exact (the generator is
-the same at each azimuth), so the convergence order is demonstrated in a
-modulated-geometry mode whose per-step generators genuinely fail to commute.
+On the string the generator is the same at every azimuth, so every
+integrator step is exact.  The convergence order is therefore shown on a
+generator that varies along phi: the total connection plus 0.4 sin(phi)
+times the spin connection, passed to the integrator through its
+``connection_fn`` hook.  Its steps do not commute.
 
 Run:  python demos/transport_and_wigner.py
 """
@@ -66,7 +68,7 @@ full_loop = transport_closed_form(
 )
 print(f"  full flat loop: Xi = -I (spinor double cover), max |Xi + I| = {np.abs(full_loop + np.eye(2)).max():.2e}")
 
-print("\nconvergence study in the modulated mode (second-order midpoint product")
+print("\nconvergence study on the phi-modulated generator (second-order midpoint product")
 print("against the fourth-order Richardson reference (4 X(2048) - X(1024)) / 3):")
 previous = None
 for n, err in zip((16, 32, 64, 128, 256, 512, 1024), verify.convergence_errors()):

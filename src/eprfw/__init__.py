@@ -3,8 +3,8 @@
 Library layers, bottom up:
 
 * :mod:`eprfw.geometry` - conical metric, rest-frame tetrad, Christoffel
-  symbols, spin/Fermi-Walker/total connection 1-forms (at one azimuth or
-  over an array of them), curvature and holonomy oracles;
+  symbols, spin/Fermi-Walker/total connection 1-forms, curvature and
+  holonomy oracles;
 * :mod:`eprfw.kinematics` - circular worldlines: four-velocity, proper
   acceleration, proper time, frame momenta;
 * :mod:`eprfw.transport` - Lorentz generators (spin-half and Dirac), the
@@ -22,7 +22,6 @@ __version__ = "0.1.0"
 
 from .geometry import (
     OnAxisError,
-    PhiModulatedGeometry,
     SpacetimePoint,
     StringGeometry,
     Tetrad,

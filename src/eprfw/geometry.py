@@ -14,22 +14,16 @@ coordinates).  The axis rho = 0 carries all of the curvature and is excluded
 from the domain; everywhere else the space is flat, which the finite-difference
 Riemann tensor and the holonomy deficit check verify independently.
 
-The pointwise fields (:func:`metric_at`, :func:`tetrad_at`,
-:func:`christoffel_at`, :func:`spin_connection_at`, :func:`fw_connection_at`,
-:func:`total_connection_at`) broadcast over the shape of
-``geom.alpha_at(pt.phi)``: a point whose ``phi`` is an array of azimuths gets
-one leading axis of results, ``X[..., mu, a, b]``, when the geometry varies
-along phi, and the single phi-independent result otherwise.  A scalar ``phi``
-gives exactly the shapes listed above.  The finite-difference oracles take
-scalar points only.
+The fields (:func:`metric_at`, :func:`tetrad_at`, :func:`christoffel_at`,
+:func:`spin_connection_at`, :func:`fw_connection_at`,
+:func:`total_connection_at`) do not depend on phi, so each returns its single
+array of the shape listed above, also for a point whose ``phi`` is an array
+of azimuths; the path-ordered product engine passes such points.  The
+finite-difference oracles take scalar points only.
 
-Inside, the Christoffel symbols and connections are built step-last,
-``X[mu, a, b, ...]``, from the diagonals of the tetrad (it is diagonal in
-these coordinates).  Every contraction with the tetrad then keeps a single
-term and is one elementwise product whose inner loop runs over the steps; a
-stacked matrix product would spend one BLAS call on every 4x4 matrix.  The
-array results are step-first views (``transpose``) of those arrays, so they
-have the shapes above but are not C-contiguous.
+The Christoffel symbols and connections are built from the diagonals of the
+tetrad (it is diagonal in these coordinates), so every contraction with the
+tetrad keeps a single term and is one elementwise product.
 """
 
 from __future__ import annotations
@@ -44,7 +38,6 @@ __all__ = [
     "MINKOWSKI",
     "OnAxisError",
     "StringGeometry",
-    "PhiModulatedGeometry",
     "SpacetimePoint",
     "Tetrad",
     "metric_at",
@@ -68,10 +61,10 @@ MINKOWSKI = np.diag([-1.0, 1.0, 1.0, 1.0])
 _ETA = np.diag(MINKOWSKI)
 
 # Frame planes the spin connection along phi can rotate: it mixes frame legs
-# 1 and 3 and leaves legs 0 and 2 alone, for every geometry of this module.
+# 1 and 3 and leaves legs 0 and 2 alone, for every deficit factor.
 _FRAME_PLANES = ((0, 2), (1, 3))
 
-# For a field x[mu, a, b, ...], x[_DIAG, :, _DIAG] is its plane b = mu and
+# For a field x[mu, a, b], x[_DIAG, :, _DIAG] is its plane b = mu and
 # x[_DIAG, _DIAG] its plane a = mu: the two planes the Fermi-Walker term lives on.
 _DIAG = np.arange(4)
 
@@ -93,43 +86,13 @@ class StringGeometry:
         if not (0.0 < self.c and 0.0 < self.c * self.c < math.inf):  # g_tt = -c^2
             raise ValueError(f"c must be positive with c^2 a positive finite float, got c={self.c}")
 
-    def alpha_at(self, phi):
-        """Local deficit factor; constant for the physical string geometry.
-
-        Subclasses that vary it return an array shaped like an array ``phi``.
-        """
-        return self.alpha
-
-
-@dataclass(frozen=True)
-class PhiModulatedGeometry(StringGeometry):
-    """Verification aid: deficit factor modulated along phi.
-
-    Used only to exercise genuine path ordering in the transport integrator,
-    where a phi-independent generator would make every step exact.  The
-    closed-form metric/connection expressions are evaluated pointwise with
-    alpha(phi); this is a synthetic variable-coefficient problem, not a
-    solution of the modulated metric (no d(alpha)/dphi terms are added).
-    """
-
-    epsilon: float = 0.0
-    k: int = 1
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not abs(self.epsilon) < 1.0 or self.alpha * (1.0 + abs(self.epsilon)) > 1.0:
-            raise ValueError("modulation must keep alpha(phi) inside (0, 1]")
-
-    def alpha_at(self, phi):
-        return self.alpha * (1.0 + self.epsilon * np.sin(self.k * phi))
-
 
 @dataclass(frozen=True)
 class SpacetimePoint:
     """Event in string coordinates (t, rho, z, phi); phi is stored unwrapped.
 
-    ``phi`` may be an array of azimuths on the circle of radius ``rho``; see
-    the module docstring for how the fields broadcast over it.
+    ``phi`` may be an array of azimuths on the circle of radius ``rho``; the
+    fields of this module do not depend on it (see the module docstring).
     """
 
     t: float = 0.0
@@ -158,41 +121,15 @@ class Tetrad:
     einv: np.ndarray
 
 
-def _alpha(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:
-    """Deficit factor at ``pt`` as an array: 0-d, or one entry per azimuth."""
-    return np.asarray(geom.alpha_at(pt.phi), dtype=float)
-
-
-def _diag(d0, d1, d2, d3) -> np.ndarray:
-    """Matrices diag(d0, d1, d2, d3), stacked over the shape of ``d3``, the entry that varies."""
-    d3 = np.asarray(d3)
-    out = np.zeros(d3.shape + (4, 4))
-    out[..., 0, 0], out[..., 1, 1], out[..., 2, 2], out[..., 3, 3] = d0, d1, d2, d3
-    return out
-
-
 def metric_at(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:
     """Metric g_{mu nu} at ``pt``: diag(-c^2, 1, 1, alpha^2 rho^2)."""
-    return _diag(-geom.c**2, 1.0, 1.0, (_alpha(geom, pt) * pt.rho) ** 2)
+    return np.diag([-geom.c**2, 1.0, 1.0, (geom.alpha * pt.rho) ** 2])
 
 
 def _tetrad_diagonals(geom: StringGeometry, pt: SpacetimePoint) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals (c, 1, 1, alpha rho) of the tetrad and their inverses, shape ``(4,) + alpha.shape``."""
-    leg = _alpha(geom, pt) * pt.rho
-    d = np.empty((4,) + leg.shape)
-    d[0], d[1], d[2], d[3] = geom.c, 1.0, 1.0, leg
+    """Diagonals (c, 1, 1, alpha rho) of the tetrad and their inverses."""
+    d = np.array([geom.c, 1.0, 1.0, geom.alpha * pt.rho])
     return d, 1.0 / d
-
-
-def _step_first(x: np.ndarray) -> np.ndarray:
-    """View of a step-last field ``x[i, j, k, *steps]`` with the step axes in front.
-
-    A field with no step axes is returned as it is, so that a scalar point
-    pays nothing for the layout.
-    """
-    if x.ndim == 3:
-        return x
-    return x.transpose(tuple(range(3, x.ndim)) + (0, 1, 2))
 
 
 def tetrad_at(geom: StringGeometry, pt: SpacetimePoint) -> Tetrad:
@@ -203,20 +140,15 @@ def tetrad_at(geom: StringGeometry, pt: SpacetimePoint) -> Tetrad:
     any unit choice (it reduces to 1 for the default c = 1).
     """
     d, dinv = _tetrad_diagonals(geom, pt)
-    return Tetrad(e=_diag(*d), einv=_diag(*dinv))
-
-
-def _christoffel(a: np.ndarray, rho: float) -> np.ndarray:
-    """Christoffel symbols ``gamma[lam, mu, nu, *steps]`` for deficit factors ``a``, step axes last."""
-    gamma = np.zeros((4, 4, 4) + a.shape)
-    gamma[RHO, PHI, PHI] = -(a**2) * rho
-    gamma[PHI, RHO, PHI] = gamma[PHI, PHI, RHO] = 1.0 / rho
-    return gamma
+    return Tetrad(e=np.diag(d), einv=np.diag(dinv))
 
 
 def christoffel_at(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:
     """Levi-Civita connection; only Gamma^rho_{phi phi} and Gamma^phi_{rho phi} survive."""
-    return _step_first(_christoffel(_alpha(geom, pt), pt.rho))
+    gamma = np.zeros((4, 4, 4))
+    gamma[RHO, PHI, PHI] = -(geom.alpha**2) * pt.rho
+    gamma[PHI, RHO, PHI] = gamma[PHI, PHI, RHO] = 1.0 / pt.rho
+    return gamma
 
 
 def _fd_step(pt: SpacetimePoint, h: float) -> float:
@@ -247,7 +179,7 @@ def christoffel_fd(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:
 
 
 def _spin_connection(pt: SpacetimePoint, gamma: np.ndarray, d: np.ndarray, dinv: np.ndarray) -> np.ndarray:
-    """omega[mu, a, b, *steps] from step-last Christoffels and the tetrad diagonals.
+    """omega[mu, a, b] from Christoffels and the tetrad diagonals.
 
     e^a_nu (d_mu e^nu_b + Gamma^nu_{mu sig} e^sig_b): the tetrad is diagonal,
     so each contraction with it keeps one term, an elementwise product.
@@ -270,23 +202,23 @@ def spin_connection_at(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:
     placement would flip every precession angle).
     """
     d, dinv = _tetrad_diagonals(geom, pt)
-    return _step_first(_spin_connection(pt, _christoffel(_alpha(geom, pt), pt.rho), d, dinv))
+    return _spin_connection(pt, christoffel_at(geom, pt), d, dinv)
 
 
 def spin_connection_fd(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:
     """Spin connection through the generic pipeline with finite-difference Christoffels."""
-    return _spin_connection(pt, christoffel_fd(geom, pt), *_tetrad_diagonals(geom, pt))  # no step axis
+    return _spin_connection(pt, christoffel_fd(geom, pt), *_tetrad_diagonals(geom, pt))
 
 
 def _fw_terms(geom: StringGeometry, accel: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two terms of tau[mu, a, b, *steps] from the tetrad diagonals; see :func:`fw_connection_at`.
+    """The two terms of tau[mu, a, b] from the tetrad diagonals; see :func:`fw_connection_at`.
 
     tau[mu, a, b] = ae[a] e_{b mu} - e^a_mu al[b] with ae = e^a_nu a^nu and al = e_{b nu} a^nu:
     the first term lives on the plane b = mu and is returned as ``first[mu, a]``, the
     second on the plane a = mu, as ``second[mu, b]``.
     """
-    acc = (np.asarray(accel, dtype=float) / geom.c**2).reshape((4,) + (1,) * (d.ndim - 1))
-    lower = _ETA.reshape(acc.shape) * d  # e_{b b}
+    acc = np.asarray(accel, dtype=float) / geom.c**2
+    lower = _ETA * d  # e_{b b}
     ae, al = d * acc, lower * acc
     return ae * lower[:, None], d[:, None] * al
 
@@ -303,10 +235,10 @@ def fw_connection_at(
     """
     d = _tetrad_diagonals(geom, pt)[0]
     first, second = _fw_terms(geom, accel, d)
-    tau = np.zeros((4, 4) + d.shape)
+    tau = np.zeros((4, 4, 4))
     tau[_DIAG, :, _DIAG] = first
     tau[_DIAG, _DIAG] -= second
-    return _step_first(tau)
+    return tau
 
 
 def total_connection_at(
@@ -320,11 +252,11 @@ def total_connection_at(
     -0.0, and it is +0.0 on the line mu = a = b where the two planes overlap.
     """
     d, dinv = _tetrad_diagonals(geom, pt)
-    omega = _spin_connection(pt, _christoffel(_alpha(geom, pt), pt.rho), d, dinv)
+    omega = _spin_connection(pt, christoffel_at(geom, pt), d, dinv)
     first, second = _fw_terms(geom, accel, d)
     omega[_DIAG, :, _DIAG] += first
     omega[_DIAG, _DIAG] -= second
-    return _step_first(omega)
+    return omega
 
 
 def riemann_at(geom: StringGeometry, pt: SpacetimePoint) -> np.ndarray:
@@ -355,8 +287,7 @@ def transport_frame_vector(
     ``steps`` midpoint sub-arcs with the path-ordered product engine of
     :mod:`eprfw.transport`, and returns the transported components and the
     signed rotation angle in the (1, 3) plane.  omega_phi does not depend on
-    rho in either geometry of this module, so the unit circle stands for
-    every radius.  Every step rotates the (1, 3) plane and such rotations
+    rho, so the unit circle stands for every radius.  Every step rotates the (1, 3) plane and such rotations
     commute, so the unwrapped angle is the (1, 3) entry of the sum of the
     step generators, however far one step turns; it is 0 when ``v`` has no
     (1, 3) part to rotate.

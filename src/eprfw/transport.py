@@ -288,12 +288,18 @@ class TransportParams:
     ``eta1``/``eta2`` carry the particle's orbital sense (both flip for the
     partner sent toward -Phi); ``theta`` = alpha Phi cosh(xi) is the
     sense-independent precession angle.  The module docstring's gamma is
-    i theta: gamma^2 = eta1^2 - eta2^2 = -theta^2.
+    i theta: gamma^2 = eta1^2 - eta2^2 = -theta^2.  ``eta_plus`` and
+    ``eta_minus`` are Gamma's off-diagonal entries eta1 + eta2 = -d theta e^xi
+    and eta1 - eta2 = d theta e^-xi, with d the orbital sense, formed as
+    these products: the difference of eta1 and eta2, two numbers of size
+    theta cosh(xi), would lose all of the small entry's digits at large xi.
     """
 
     eta1: float
     eta2: float
     theta: float
+    eta_plus: float
+    eta_minus: float
 
 
 def _check_azimuth(Phi: float) -> None:
@@ -311,11 +317,13 @@ def transport_params(wl: CircularWorldline, Phi: float) -> TransportParams:
     """
     _check_azimuth(Phi)
     alpha = wl.geom.alpha
-    ch, sh = math.cosh(wl.xi), math.sinh(wl.xi)
+    ch, sh, ex = math.cosh(wl.xi), math.sinh(wl.xi), math.exp(wl.xi)
     signed = wl.direction * alpha * Phi
     eta1 = -signed * sh * ch
     eta2 = -signed * ch * ch
-    if not (math.isfinite(eta1 + eta2) and math.isfinite(eta1 - eta2)):
+    # e^xi >= cosh(xi) >= sinh(xi): eta_plus is the largest, and finite only if eta1 and eta2 are
+    eta_plus, eta_minus = -signed * ch * ex, signed * ch / ex
+    if not math.isfinite(eta_plus):
         raise ValueError(f"transport parameters overflow at alpha={alpha}, xi={wl.xi}, Phi={Phi}")
     theta = float(wigner_angle(alpha, wl.xi, Phi))
     if theta * 2.0**-52 > _THETA_ERROR_MAX:
@@ -323,14 +331,11 @@ def transport_params(wl: CircularWorldline, Phi: float) -> TransportParams:
             f"precession angle too large to evaluate: theta = alpha Phi cosh(xi) = {theta:.3e} "
             f"at alpha={alpha}, xi={wl.xi}, Phi={Phi} (theta * 2^-52 must not exceed {_THETA_ERROR_MAX:g})"
         )
-    return TransportParams(eta1=eta1, eta2=eta2, theta=theta)
+    return TransportParams(eta1=eta1, eta2=eta2, theta=theta, eta_plus=eta_plus, eta_minus=eta_minus)
 
 
 def _gamma_matrix(params: TransportParams) -> np.ndarray:
-    return np.array(
-        [[0.0, params.eta1 + params.eta2], [params.eta1 - params.eta2, 0.0]],
-        dtype=complex,
-    )
+    return np.array([[0.0, params.eta_plus], [params.eta_minus, 0.0]], dtype=complex)
 
 
 def transport_closed_form(params: TransportParams) -> np.ndarray:
@@ -378,6 +383,15 @@ def transport_from_connection(
 
     The azimuth is continued with its sign, so the partner particle
     (direction = -1) is transported toward -Phi; see the module docstring.
+
+    Accuracy at large rapidity: the generator's entry for eta1 - eta2 is the
+    difference of two connection sums of size alpha cosh^2(xi), so each
+    entry of the product carries a relative error of up to about
+    e^(2 xi) 2^-52.  It is largest in the small entry d e^-xi sin(theta/2):
+    7e-3 at xi = 16 with theta = 1 and N = 1024, against 1e-3 on the
+    diagonal, while the determinant stays within 1e-13 of 1.  Near xi = 25
+    the product can stop being finite.  :func:`transport_closed_form` forms
+    that entry as a product and keeps its digits at every admitted xi.
     """
     _check_azimuth(Phi)
     if connection_fn is None:
@@ -397,12 +411,7 @@ def transport_from_connection(
             # dx^t/dphi = U^t / U^phi; at rest, and wherever c^2 sinh^2(xi)/rho
             # underflows, the acceleration is zero and the boost rows of Omega
             # vanish identically, so the time leg drops out exactly (U^t / U^phi
-            # itself overflows where sinh(xi) is subnormal).  The
-            # measure uses the worldline's base deficit factor: a modulated
-            # geometry varies only the connection coefficients, so that the
-            # boost/rotation mix of the per-step generator changes along the
-            # path (a pure alpha(phi) rescaling of the whole generator would
-            # keep every step commuting and leave path ordering untested).
+            # itself overflows where sinh(xi) is subnormal).
             wab = wab + (_ETA[:, None] * omega[..., T, :, :]) * (geom.alpha * wl.rho * ch / (geom.c * sh))
         lead = wab.shape[:-2]
         return -0.5j * (wab.reshape(lead + (16,)) @ sig_flat).reshape(lead + (dim, dim))

@@ -33,12 +33,7 @@ import numpy as np
 
 from . import epr, geometry, kinematics, transport
 from .epr import TWO_SQRT2
-from .geometry import (
-    MINKOWSKI,
-    PhiModulatedGeometry,
-    SpacetimePoint,
-    StringGeometry,
-)
+from .geometry import MINKOWSKI, SpacetimePoint, StringGeometry
 from .kinematics import CircularWorldline
 
 __all__ = ["CheckResult", "CHECKS", "run_checks", "ALPHAS", "RHOS", "SINH_XIS", "PHIS"]
@@ -118,6 +113,19 @@ def _expected_connections(geom, wl):
 def _flipped_connection(geom, pt, accel):
     """Mutated total connection with the spin-connection sign inverted."""
     return -geometry.spin_connection_at(geom, pt) + geometry.fw_connection_at(geom, pt, accel)
+
+
+def _modulated_connection(geom, pt, accel):
+    """Total connection plus 0.4 sin(phi) times the spin connection, one per azimuth of ``pt.phi``.
+
+    A variable-coefficient problem for the convergence study: only the
+    rotation part varies along phi, so the steps do not commute and the
+    product must be path ordered.  It is a test generator, not a connection
+    of any metric.
+    """
+    out = np.multiply.outer(0.4 * np.sin(pt.phi), geometry.spin_connection_at(geom, pt))
+    out += geometry.total_connection_at(geom, pt, accel)
+    return out
 
 
 # ---------------------------------------------------------------- geometry
@@ -290,7 +298,7 @@ def check_numeric_fixed_coefficients(steps: int = 4096) -> CheckResult:
 
 
 def convergence_errors():
-    """Integrator errors at N = 16, 32, ..., 1024 in the variable-coefficient mode.
+    """Integrator errors at N = 16, 32, ..., 1024 for :func:`_modulated_connection`.
 
     The products X(N) at N = 16, ..., 2048 are formed once.  The exponential
     midpoint rule is symmetric, so its global error expands in even powers of
@@ -299,10 +307,11 @@ def convergence_errors():
     fourth-order reference.  Each error is the largest entry of |X(N) - ref|
     for N <= 1024.
     """
-    geom = PhiModulatedGeometry(alpha=0.5, epsilon=0.4, k=1)
-    wl = CircularWorldline(geom, rho=2.0, xi=math.asinh(0.75))
+    wl = _reference_worldline()
     Phi = math.pi
-    products = [transport.transport_from_connection(wl, Phi, 2**k) for k in range(4, 12)]
+    products = [
+        transport.transport_from_connection(wl, Phi, 2**k, connection_fn=_modulated_connection) for k in range(4, 12)
+    ]
     ref = (4.0 * products[-1] - products[-2]) / 3.0
     return [float(np.abs(x - ref).max()) for x in products[:-1]]
 

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from eprfw import epr, geometry, transport, verify
+from eprfw import epr, transport, verify
 from eprfw.cli import main
 from eprfw.geometry import SpacetimePoint
 
@@ -57,11 +57,11 @@ def test_integrator_convergence_catches_a_first_order_product(monkeypatch):
     # the left end of its sub-arc of [0, Phi]: a first-order rule
     exact = transport.transport_from_connection
 
-    def left_endpoint(wl, Phi, steps):
+    def left_endpoint(wl, Phi, steps, connection_fn):
         phi0 = -wl.direction * Phi / (2 * steps)
 
         def shifted(geom, pt, accel):
-            return geometry.total_connection_at(geom, SpacetimePoint(rho=pt.rho, phi=pt.phi + phi0), accel)
+            return connection_fn(geom, SpacetimePoint(rho=pt.rho, phi=pt.phi + phi0), accel)
 
         return exact(wl, Phi, steps, connection_fn=shifted)
 

@@ -613,6 +613,9 @@ def domain_argv(draw):
 @given(domain_argv())
 # a subnormal xi: U^t / U^phi overflows, and the zero acceleration must drop the time leg
 @example(["transport", "--xi=2.2250738585e-313", "--phi=1", "--steps=4"])
+# eta1 - eta2 is e^(2 xi) = 2.9e15 times smaller than eta1 and eta2: formed as their difference,
+# the closed form's small entry keeps no digit and its determinant is 1.38
+@example(["transport", "--alpha=1", "--xi=17.8", "--phi=1e-7"])
 def test_input_inside_the_domain_gives_finite_output(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -631,6 +634,10 @@ def test_input_inside_the_domain_gives_finite_output(argv):
             except ValueError:
                 pass
         assert numbers and all(math.isfinite(x) for x in numbers)
+        if argv[0] == "transport":
+            # the closed form keeps its determinant at every admitted rapidity
+            deviations = [float(line.rsplit("=", 1)[1]) for line in text.splitlines() if "det(Xi) - 1 =" in line]
+            assert len(deviations) == 2 and max(deviations) <= 1e-12, deviations
         return
     if "--format=json" in argv:
         rows = [[row[name] for name in BELL_COLUMNS] for row in json.loads(text)["rows"]]

@@ -142,8 +142,10 @@ def test_flipping_only_the_rotation_leg_is_rejected():
     params = transport_params(wl, Phi)
     from eprfw.transport import TransportParams
 
+    # flipping eta2 swaps Gamma's entries eta1 + eta2 and eta1 - eta2
     wrong_minus = TransportParams(
-        eta1=params.eta1, eta2=-params.eta2, theta=params.theta
+        eta1=params.eta1, eta2=-params.eta2, theta=params.theta,
+        eta_plus=params.eta_minus, eta_minus=params.eta_plus,
     )
     state = evolve_pair(
         initial_state(),
@@ -387,6 +389,20 @@ def test_bell_columns_match_bell_report_on_verify_grid():
                     expected = getattr(report, name)
                     tol = 1e-12 * expected if name == "norm" else 1e-12
                     assert abs(values[i, j, k] - expected) <= tol, (name, alpha, xi, Phi)
+
+
+@pytest.mark.parametrize("xi", [5.0, 17.8, 100.0, 300.0])
+def test_bell_columns_match_bell_report_at_large_rapidity(xi):
+    # bell_report builds its state from the two transport operators, whose small
+    # entries e^-xi sin(theta/2) must keep their digits for the two to agree
+    alpha = 0.5
+    Phi = 1.0 / (alpha * math.cosh(xi))  # theta = 1
+    columns = bell_columns(alpha, xi, Phi)
+    report = bell_report(alpha, xi, Phi)
+    for name, values in columns.items():
+        expected = getattr(report, name)
+        tol = 1e-12 * abs(expected) if name in ("norm", "chsh_closed") else 1e-12
+        assert abs(values - expected) <= tol, (name, xi)
 
 
 def test_bell_columns_reject_non_finite_output():

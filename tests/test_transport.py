@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -12,7 +13,6 @@ from eprfw.geometry import (
     MINKOWSKI,
     PHI,
     T,
-    PhiModulatedGeometry,
     SpacetimePoint,
     StringGeometry,
     spin_connection_at,
@@ -201,7 +201,7 @@ def test_closed_form_rest_frame_rotation():
 def test_closed_form_without_transport_is_identity():
     from eprfw.transport import TransportParams
 
-    op = transport_closed_form(TransportParams(eta1=0.0, eta2=0.0, theta=0.0))
+    op = transport_closed_form(TransportParams(eta1=0.0, eta2=0.0, theta=0.0, eta_plus=0.0, eta_minus=0.0))
     assert np.allclose(op, IDENTITY2, atol=1e-15)
 
 
@@ -219,9 +219,42 @@ def test_closed_form_coefficient_matches_cardinal_sine():
     ])
     for theta in map(float, thetas):
         # eta1 = 1, eta2 = 0 puts the coefficient alone in entry (0, 1)
-        coeff = transport_closed_form(TransportParams(eta1=1.0, eta2=0.0, theta=theta))[0, 1].real
+        params = TransportParams(eta1=1.0, eta2=0.0, theta=theta, eta_plus=1.0, eta_minus=1.0)
+        coeff = transport_closed_form(params)[0, 1].real
         expected = 0.5 * np.sinc(theta / (2.0 * math.pi))
         assert abs(coeff - expected) <= np.spacing(abs(expected)), theta
+
+
+# rapidities where eta1 - eta2 = d theta e^-xi is e^(2 xi) times smaller than eta1 and eta2
+LARGE_XIS = (5.0, 17.8, 100.0, 300.0)
+
+
+def mp_closed_form(alpha, xi, Phi, direction):
+    """The closed form from eta1 +- eta2 as written, rounded from 2 xi / ln 10 + 30 digits.
+
+    The difference eta1 - eta2 cancels all but about a factor e^(-2 xi) of its
+    operands, so the working precision grows with xi.
+    """
+    with mpmath.workdps(int(2.0 * xi / math.log(10.0)) + 30):
+        alpha, xi, Phi = mpmath.mpf(alpha), mpmath.mpf(xi), mpmath.mpf(Phi)
+        ch, sh = mpmath.cosh(xi), mpmath.sinh(xi)
+        eta1, eta2 = -direction * alpha * Phi * sh * ch, -direction * alpha * Phi * ch * ch
+        theta = alpha * Phi * ch
+        cos, coeff = mpmath.cos(theta / 2), mpmath.sin(theta / 2) / theta
+        return np.array([[float(cos), float(coeff * (eta1 + eta2))], [float(coeff * (eta1 - eta2)), float(cos)]])
+
+
+@pytest.mark.parametrize("direction", [+1, -1])
+@pytest.mark.parametrize("xi", LARGE_XIS)
+def test_closed_form_is_entrywise_accurate_at_large_rapidity(xi, direction):
+    alpha = 0.5
+    Phi = 1.0 / (alpha * math.cosh(xi))  # theta = 1
+    wl = CircularWorldline(StringGeometry(alpha), rho=1.0, xi=xi, direction=direction)
+    op = transport_closed_form(transport_params(wl, Phi))
+    ref = mp_closed_form(alpha, xi, Phi, direction)
+    assert np.abs(op.imag).max() == 0.0
+    assert (np.abs(op.real - ref) / np.abs(ref)).max() <= 1e-14
+    assert abs(np.linalg.det(op) - 1.0) <= 1e-14
 
 
 @pytest.mark.parametrize("params", params_grid())
@@ -316,16 +349,15 @@ def test_numeric_full_loop_holonomy():
     assert np.allclose(op, -IDENTITY2, atol=1e-10)
 
 
-def variable_mode_worldline():
-    geom = PhiModulatedGeometry(alpha=0.5, epsilon=0.4, k=1)
-    return CircularWorldline(geom, rho=2.0, xi=XI_REF)
+# the convergence study's generator, which varies along phi
+modulated_connection = verify._modulated_connection
 
 
-def starting_at(phi0):
+def starting_at(phi0, connection_fn=total_connection_at):
     """Connection hook that moves the transported arc to start at azimuth ``phi0``."""
 
     def shifted(geom, pt, accel):
-        return total_connection_at(geom, SpacetimePoint(rho=pt.rho, phi=pt.phi + phi0), accel)
+        return connection_fn(geom, SpacetimePoint(rho=pt.rho, phi=pt.phi + phi0), accel)
 
     return shifted
 
@@ -340,25 +372,30 @@ def test_numeric_convergence_is_second_order():
 def test_convergence_reference_is_fourth_order_accurate():
     # a finer Richardson pair, (4 X(2^14) - X(2^13)) / 3, must see the same
     # errors: the study's reference is then far below what it measures
-    wl = variable_mode_worldline()
-    fine = (4.0 * transport_from_connection(wl, math.pi, 2**14) - transport_from_connection(wl, math.pi, 2**13)) / 3.0
+    wl = ref_worldline()
+
+    def product(steps):
+        return transport_from_connection(wl, math.pi, steps, connection_fn=modulated_connection)
+
+    fine = (4.0 * product(2**14) - product(2**13)) / 3.0
     for k, error in zip(range(4, 11), verify.convergence_errors(), strict=True):
-        assert abs(error - np.abs(transport_from_connection(wl, math.pi, 2**k) - fine).max()) <= 1e-12
+        assert abs(error - np.abs(product(2**k) - fine).max()) <= 1e-12
 
 
 def test_variable_mode_requires_path_ordering():
     # per-step generators must not commute, otherwise ordering is untested
-    wl = variable_mode_worldline()
-    a = transport_from_connection(wl, 0.5, 1)
-    b = transport_from_connection(wl, 0.5, 1, connection_fn=starting_at(wl.direction * 0.5))
+    wl = ref_worldline()
+    a = transport_from_connection(wl, 0.5, 1, connection_fn=modulated_connection)
+    b = transport_from_connection(wl, 0.5, 1, connection_fn=starting_at(wl.direction * 0.5, modulated_connection))
     assert np.abs(a @ b - b @ a).max() > 1e-4
 
 
 def test_transport_composition_path_ordered():
-    wl = variable_mode_worldline()
-    full = transport_from_connection(wl, math.pi, 1024)
-    first = transport_from_connection(wl, math.pi / 2, 512)
-    second = transport_from_connection(wl, math.pi / 2, 512, connection_fn=starting_at(math.pi / 2))
+    wl = ref_worldline()
+    full = transport_from_connection(wl, math.pi, 1024, connection_fn=modulated_connection)
+    first = transport_from_connection(wl, math.pi / 2, 512, connection_fn=modulated_connection)
+    second_half = starting_at(math.pi / 2, modulated_connection)
+    second = transport_from_connection(wl, math.pi / 2, 512, connection_fn=second_half)
     assert np.abs(second @ first - full).max() <= 1e-12
 
 
@@ -429,7 +466,7 @@ def test_transport_independent_of_unit_choice():
 # kept as its reference.
 
 
-def sequential_transport(wl, Phi, steps, representation="spin-half", phi0=0.0):
+def sequential_transport(wl, Phi, steps, representation="spin-half", phi0=0.0, connection_fn=total_connection_at):
     sig = lorentz_generators(representation)
     op = np.eye(sig.shape[-1], dtype=complex)
     geom, accel = wl.geom, proper_acceleration(wl)
@@ -437,7 +474,7 @@ def sequential_transport(wl, Phi, steps, representation="spin-half", phi0=0.0):
     dphi = wl.direction * Phi / steps
     for k in range(steps):
         pt = SpacetimePoint(rho=wl.rho, phi=phi0 + (k + 0.5) * dphi)
-        w = MINKOWSKI @ total_connection_at(geom, pt, accel)
+        w = MINKOWSKI @ connection_fn(geom, pt, accel)
         wab = w[PHI].copy()
         if wl.xi > 0.0:
             wab += w[T] * (geom.alpha * wl.rho * ch / (geom.c * sh))
@@ -446,12 +483,12 @@ def sequential_transport(wl, Phi, steps, representation="spin-half", phi0=0.0):
     return op
 
 
-def sequential_frame_vector(geom, v, Phi, rho=1.0, steps=256):
+def sequential_frame_vector(geom, v, Phi, rho=1.0, steps=256, connection_fn=spin_connection_at):
     v = np.asarray(v, dtype=float).copy()
     dphi = Phi / steps
     angle = 0.0
     for k in range(steps):
-        w = spin_connection_at(geom, SpacetimePoint(rho=rho, phi=(k + 0.5) * dphi))[PHI]
+        w = connection_fn(geom, SpacetimePoint(rho=rho, phi=(k + 0.5) * dphi))[PHI]
         prev = math.atan2(v[3], v[1]) if (v[1] or v[3]) else None
         v = expm(-w * dphi) @ v
         if prev is not None:
@@ -524,19 +561,36 @@ ENGINE_STEPS = (1, 2, 3, 1023, 1025, 4097)
 @pytest.mark.parametrize("rep", ["spin-half", "dirac"])
 @pytest.mark.parametrize("modulated", [False, True], ids=["string", "modulated"])
 def test_engine_matches_sequential_product(steps, direction, rep, modulated):
-    geom = PhiModulatedGeometry(alpha=0.5, epsilon=0.4, k=1) if modulated else StringGeometry(0.5)
-    wl = CircularWorldline(geom, rho=2.0, xi=XI_REF, direction=direction)
-    engine = transport_from_connection(wl, math.pi, steps, rep, connection_fn=starting_at(0.3))
-    assert np.abs(engine - sequential_transport(wl, math.pi, steps, rep, phi0=0.3)).max() <= 1e-12
+    # the modulated connection varies along phi, so the engine takes its pairwise tree
+    connection_fn = modulated_connection if modulated else total_connection_at
+    wl = ref_worldline(direction)
+    engine = transport_from_connection(wl, math.pi, steps, rep, connection_fn=starting_at(0.3, connection_fn))
+    reference = sequential_transport(wl, math.pi, steps, rep, phi0=0.3, connection_fn=connection_fn)
+    assert np.abs(engine - reference).max() <= 1e-12
+
+
+@pytest.mark.parametrize("direction", [+1, -1])
+@pytest.mark.parametrize("xi", [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0])
+def test_engine_small_entry_within_its_documented_bound(xi, direction):
+    # the static-frame generator's small entry is a difference of two connection sums of
+    # size alpha cosh^2 xi, so the product's entries carry a relative error up to e^(2 xi) 2^-52
+    alpha = 0.5
+    Phi = 1.0 / (alpha * math.cosh(xi))  # theta = 1
+    wl = CircularWorldline(StringGeometry(alpha), rho=2.0, xi=xi, direction=direction)
+    op = transport_from_connection(wl, Phi, 1024)
+    theta = wigner_angle(alpha, xi, Phi)
+    cos, sin = math.cos(theta / 2), math.sin(theta / 2)
+    exact = np.array([[cos, -direction * math.exp(xi) * sin], [direction * math.exp(-xi) * sin, cos]])  # D R D^-1
+    assert (np.abs(op - exact) / np.abs(exact)).max() <= 4.0 * math.exp(2.0 * xi) * 2.0**-52 + 1e-13
 
 
 def test_connection_hook_gets_chunks_of_midpoints():
-    wl = variable_mode_worldline()
+    wl = ref_worldline()
     steps, seen = 2500, []
 
     def recording(geom, pt, accel):
         seen.append(np.array(pt.phi))
-        return total_connection_at(geom, pt, accel)
+        return modulated_connection(geom, pt, accel)
 
     op = transport_from_connection(wl, math.pi, steps, connection_fn=recording)
     chunk = transport._CHUNK
@@ -544,7 +598,7 @@ def test_connection_hook_gets_chunks_of_midpoints():
     assert [len(phi) for phi in seen] == [min(chunk, steps - s) for s in range(0, steps, chunk)]
     dphi = math.pi / steps
     assert np.array_equal(np.concatenate(seen), [(k + 0.5) * dphi for k in range(steps)])
-    assert np.abs(op - transport_from_connection(wl, math.pi, steps)).max() == 0.0
+    assert np.abs(op - transport_from_connection(wl, math.pi, steps, connection_fn=modulated_connection)).max() == 0.0
 
 
 @pytest.mark.parametrize("steps", [1, 1024, 16384, 65536])
@@ -608,12 +662,21 @@ def test_frame_vector_matches_sequential_on_holonomy_grid(alpha):
     assert abs(angle - angle_ref) <= 1e-12
 
 
+def modulated_spin_connection(geom, pt):
+    """The spin connection times 1 + 0.4 sin(2 phi), one per azimuth of ``pt.phi``."""
+    return np.multiply.outer(1.0 + 0.4 * np.sin(2.0 * pt.phi), spin_connection_at(geom, pt))
+
+
 @pytest.mark.parametrize("v0", [[0.3, 0.2, -0.5, 0.7], [1.0, 0.0, 0.4, 0.0]])
-def test_frame_vector_matches_sequential_modulated(v0):
-    geom = PhiModulatedGeometry(alpha=0.5, epsilon=0.4, k=2)
+def test_frame_vector_matches_sequential_modulated(v0, monkeypatch):
+    # a spin connection that varies along phi takes the engine's pairwise tree
+    geom = StringGeometry(0.5)
+    monkeypatch.setattr(geometry, "spin_connection_at", modulated_spin_connection)
     # the reference runs at rho = 1.5: omega_phi, and so the transport, does not depend on rho
     v, angle = transport_frame_vector(geom, v0, 5.0, steps=1500)
-    v_ref, angle_ref = sequential_frame_vector(geom, v0, 5.0, rho=1.5, steps=1500)
+    v_ref, angle_ref = sequential_frame_vector(
+        geom, v0, 5.0, rho=1.5, steps=1500, connection_fn=modulated_spin_connection
+    )
     assert np.abs(v - v_ref).max() <= 1e-12
     assert abs(angle - angle_ref) <= 1e-12
 
